@@ -114,7 +114,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     while not r.done():
         nlen = r.u16("tensor name length")
-        name = r.take(nlen, "tensor name").decode("utf-8")
+        try:
+            name = r.take(nlen, "tensor name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: bad tensor name: {exc}") from exc
         rank = r.u8(f"rank of {name!r}")
         dims = tuple(r.u32(f"dim of {name!r}") for _ in range(rank))
         count = int(np.prod(dims, dtype=np.int64)) if dims else 1

@@ -20,9 +20,8 @@ from dataclasses import fields
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .imaging import (DegradationSpec, Image, add_gaussian_noise,
-                      bicubic_resize, gaussian_blur, load_image, save_image,
-                      sobel_map, to_luma)
+from .imaging import (DegradationSpec, Image, degrade, load_image,
+                      save_image, sobel_map, to_luma)
 from .metrics import (BenchRow, bench_csv, bench_markdown, evaluate_set,
                       metric_report)
 from .pipeline import (TrainConfig, evaluate_checkpoint, train_stage1,
@@ -32,6 +31,8 @@ from .synth import DatasetManifest, SyntheticSceneSpec, make_synthetic_dataset
 log = logging.getLogger("dasr")
 
 _DEFAULTS = TrainConfig()
+# the TrainConfig fields that are ``dasr train`` flags
+_TRAIN_FLAGS = [f for f in fields(TrainConfig) if "help" in f.metadata]
 
 
 def log_level_from_env(value: str | None) -> int:
@@ -81,38 +82,27 @@ def cmd_degrade(args) -> int:
         img = load_image(os.path.join(args.inp, name))
         h = (img.height // spec.scale) * spec.scale
         w = (img.width // spec.scale) * spec.scale
-        img = Image(img.array[:h, :w])
-        if spec.blur_sigma > 0:
-            img = gaussian_blur(img, spec.blur_sigma)
-        img = bicubic_resize(img, h // spec.scale, w // spec.scale)
-        if spec.noise_sigma > 0:
-            img = add_gaussian_noise(img, spec.noise_sigma, spec.seed + i)
+        img = degrade(Image(img.array[:h, :w]), spec, spec.seed + i)
         save_image(img, os.path.join(args.out, name))
         log.info("degraded %s -> %dx%d", name, img.width, img.height)
     return 0
 
 
 def _merged_config(args) -> TrainConfig:
-    doc = {f.name: getattr(_DEFAULTS, f.name) for f in fields(TrainConfig)}
+    """Built-in defaults, then --config file values, then explicit flags."""
+    doc = _DEFAULTS.to_dict()
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             file_doc = json.load(fh)
-        known = set(doc)
-        unknown = set(file_doc) - known
+        unknown = set(file_doc) - set(doc)
         if unknown:
             raise ValueError(f"unknown config keys in {args.config}: "
                              f"{', '.join(sorted(unknown))}")
         doc.update(file_doc)
-    for name in ("scale", "lr", "beta1", "beta2", "eps", "batch", "lr_crop",
-                 "alpha", "beta", "prior_depth", "trans_mode", "noise_sigma",
-                 "adv_enabled", "seed", "preset", "prior_blocks", "grad_clip",
-                 "ir_replay", "init_trans_from_spre"):
-        val = getattr(args, name)
+    for f in _TRAIN_FLAGS:
+        val = getattr(args, f.name)
         if val is not None:
-            doc[name] = val
-    if args.feature_weights is not None:
-        doc["feature_weights"] = [float(v) for v
-                                  in args.feature_weights.split(",")]
+            doc[f.name] = val
     if args.steps is not None:
         doc["steps_stage1" if args.stage == 1 else "steps_stage2"] = args.steps
     return TrainConfig.from_dict(doc)
@@ -132,7 +122,8 @@ def cmd_train(args) -> int:
         ckpt = train_stage2(load_checkpoint(args.ckpt_in), manifest, config,
                             log_path=log_path)
     save_checkpoint(ckpt, args.ckpt_out)
-    digest = hashlib.sha256(open(args.ckpt_out, "rb").read()).hexdigest()
+    with open(args.ckpt_out, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     print(f"checkpoint sha256 {digest} -> {args.ckpt_out}")
     if log_path:
         with open(log_path, encoding="utf-8") as fh:
@@ -264,6 +255,19 @@ def _onoff(value: str) -> bool:
     return value == "on"
 
 
+def _float_list(value: str) -> list[float]:
+    try:
+        return [float(v) for v in value.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {value!r}") from None
+
+
+# argparse type of each TrainConfig field annotation
+_ARG_TYPES = {"int": int, "float": float, "str": str, "bool": _onoff,
+              "Optional[list[float]]": _float_list}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dasr",
@@ -309,61 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"training steps (default: "
                          f"{_DEFAULTS.steps_stage1} stage 1, "
                          f"{_DEFAULTS.steps_stage2} stage 2)")
-    tp.add_argument("--scale", type=int, choices=(2, 4),
-                    help=f"upscaling factor (default: {_DEFAULTS.scale})")
-    tp.add_argument("--lr", type=float,
-                    help=f"learning rate (default: {_DEFAULTS.lr})")
-    tp.add_argument("--beta1", type=float,
-                    help=f"Adam beta1 (default: {_DEFAULTS.beta1})")
-    tp.add_argument("--beta2", type=float,
-                    help=f"Adam beta2 (default: {_DEFAULTS.beta2})")
-    tp.add_argument("--eps", type=float,
-                    help=f"Adam epsilon (default: {_DEFAULTS.eps})")
-    tp.add_argument("--batch", type=int,
-                    help=f"batch size (default: {_DEFAULTS.batch})")
-    tp.add_argument("--lr-crop", dest="lr_crop", type=int,
-                    help=f"LR crop size (default: {_DEFAULTS.lr_crop})")
-    tp.add_argument("--alpha", type=float,
-                    help=f"noise loss weight (default: {_DEFAULTS.alpha})")
-    tp.add_argument("--beta", type=float,
-                    help=f"texture prior loss weight "
-                         f"(default: {_DEFAULTS.beta})")
-    tp.add_argument("--prior-depth", dest="prior_depth",
-                    choices=("shallow", "middle", "deep"),
-                    help=f"feature tap depth (default: "
-                         f"{_DEFAULTS.prior_depth})")
-    tp.add_argument("--trans-mode", dest="trans_mode",
-                    choices=("raw-sobel", "prior-branch"),
-                    help=f"texture loss mode (default: "
-                         f"{_DEFAULTS.trans_mode})")
-    tp.add_argument("--noise-sigma", dest="noise_sigma", type=float,
-                    help=f"noise pattern sigma (default: "
-                         f"{_DEFAULTS.noise_sigma})")
-    tp.add_argument("--adv", dest="adv_enabled", type=_onoff,
-                    metavar="{on,off}",
-                    help=f"adversarial generator term (default: "
-                         f"{'on' if _DEFAULTS.adv_enabled else 'off'})")
-    tp.add_argument("--seed", type=int,
-                    help=f"run seed (default: {_DEFAULTS.seed})")
-    tp.add_argument("--preset", choices=("desk", "paper-scale"),
-                    help=f"generator preset (default: {_DEFAULTS.preset})")
-    tp.add_argument("--prior-blocks", dest="prior_blocks", type=int,
-                    help=f"texture-prior branch blocks (default: "
-                         f"{_DEFAULTS.prior_blocks})")
-    tp.add_argument("--grad-clip", dest="grad_clip", type=float,
-                    help=f"global grad-norm clip, 0 disables "
-                         f"(default: {_DEFAULTS.grad_clip})")
-    tp.add_argument("--ir-replay", dest="ir_replay", type=_onoff,
-                    metavar="{on,off}",
-                    help=f"stage-2 IR replay batches (default: "
-                         f"{'on' if _DEFAULTS.ir_replay else 'off'})")
-    tp.add_argument("--init-trans-from-spre", dest="init_trans_from_spre",
-                    type=_onoff, metavar="{on,off}",
-                    help="seed the texture discriminator's main branch from "
-                         "the stage-1 discriminator (default: off)")
-    tp.add_argument("--feature-weights", dest="feature_weights",
-                    help="comma-separated per-stage noise-loss weights "
-                         "(default: one-hot at --prior-depth)")
+    for f in _TRAIN_FLAGS:
+        meta = f.metadata
+        kind = _ARG_TYPES[f.type]
+        help_text = meta["help"]
+        if f.default is not None:
+            default = f.default
+            if kind is _onoff:
+                default = "on" if default else "off"
+            help_text += f" (default: {default})"
+        tp.add_argument(meta.get("flag", "--" + f.name.replace("_", "-")),
+                        dest=f.name, type=kind, choices=meta.get("choices"),
+                        metavar="{on,off}" if kind is _onoff else None,
+                        help=help_text)
     tp.set_defaults(fn=cmd_train)
 
     ep = sub.add_parser("eval", help="evaluate a checkpoint against a "

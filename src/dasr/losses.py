@@ -19,7 +19,6 @@ import numpy as np
 
 from . import tensor as T
 from .imaging import SOBEL_H, SOBEL_V
-from .models import DiscTrans
 from .tensor import Tensor
 
 TRANS_MODES = ("raw-sobel", "prior-branch")
@@ -148,14 +147,14 @@ def sobel_l1(pred: Tensor, target: Tensor) -> Tensor:
     return out
 
 
-def l_trans(pred_img: Tensor, target_img: Tensor, d: Optional[DiscTrans],
+def l_trans(pred_img: Tensor, target_img: Tensor, d,
             mode: str = "prior-branch") -> Tensor:
     """Texture prior loss between prediction and target.
 
     ``raw-sobel`` compares Sobel magnitudes of the two images directly (the
     literal formula; carries no discriminator parameters). ``prior-branch``
-    compares the discriminator's prior-branch latents, so the term also
-    trains the discriminator.
+    compares the prior-branch latents of ``d``, the texture discriminator
+    (``models.DiscTrans``), so the term also trains the discriminator.
     """
     if mode not in TRANS_MODES:
         raise ValueError(f"l_trans: mode must be one of {TRANS_MODES}, "

@@ -261,45 +261,49 @@ class Generator(Model):
 _DISC_CHANNELS = (32, 64, 128, 256)
 
 
-def _disc_stack(model: Model, prefix: str, rng: np.random.Generator,
-                in_hw: int) -> tuple[list[Conv2dLayer], int]:
-    """Four strided convs, channels doubling; returns layers + flat size."""
-    layers = []
-    cin = 1
-    hw = in_hw
-    for i, cout in enumerate(_DISC_CHANNELS):
-        layers.append(Conv2dLayer(model, f"{prefix}.conv{i}", cin, cout, rng,
-                                  stride=2, padding=1))
-        cin = cout
-        hw = (hw + 2 - 3) // 2 + 1
-    return layers, cin * hw * hw
+class _Discriminator(Model):
+    """The strided conv trunk both discriminators share: four stride-2
+    convs with doubling channels, for inputs of one build size."""
 
-
-class DiscSpre(Model):
-    """Stage-1 discriminator: strided conv stack -> flatten -> logit."""
-
-    def __init__(self, in_hw: int, seed: int):
+    def __init__(self, in_hw: int, rng: np.random.Generator):
         super().__init__()
         self.in_hw = in_hw
-        rng = generator(seed, "disc-spre-init")
-        self.stack, flat = _disc_stack(self, "main", rng, in_hw)
-        self.head = LinearLayer(self, "head", flat, 1, rng)
-        self._flat = flat
+        self.stack = []
+        cin, hw = 1, in_hw
+        for i, cout in enumerate(_DISC_CHANNELS):
+            self.stack.append(Conv2dLayer(self, f"main.conv{i}", cin, cout,
+                                          rng, stride=2, padding=1))
+            cin = cout
+            hw = (hw + 2 - 3) // 2 + 1
+        self._flat = cin * hw * hw
 
-    def __call__(self, img: Tensor) -> Tensor:
+    def _trunk(self, img: Tensor, size_ok: bool = True) -> Tensor:
+        """Trunk features flattened to [N, flat]; rejects an input whose
+        size differs from the build size (or when ``size_ok`` is false)."""
         t = img
         for conv in self.stack:
             t = T.leaky_relu(conv(t), LRELU_SLOPE)
         n = t.shape[0]
-        flat_size = t.size // n
-        if flat_size != self._flat:
+        if not size_ok or t.size // n != self._flat:
             raise ValueError(
-                f"discriminator built for {self.in_hw}x{self.in_hw} inputs "
-                f"(flat {self._flat}), got feature size {flat_size}")
-        return self.head(T.reshape(t, (n, flat_size)))
+                f"discriminator built for {self.in_hw}x{self.in_hw} inputs, "
+                f"got {img.shape[2]}x{img.shape[3]}")
+        return T.reshape(t, (n, self._flat))
 
 
-class DiscTrans(Model):
+class DiscSpre(_Discriminator):
+    """Stage-1 discriminator: strided conv stack -> flatten -> logit."""
+
+    def __init__(self, in_hw: int, seed: int):
+        rng = generator(seed, "disc-spre-init")
+        super().__init__(in_hw, rng)
+        self.head = LinearLayer(self, "head", self._flat, 1, rng)
+
+    def __call__(self, img: Tensor) -> Tensor:
+        return self.head(self._trunk(img))
+
+
+class DiscTrans(_Discriminator):
     """Stage-2 discriminator with a texture-prior branch.
 
     The prior branch alternates learned valid convs with fixed Sobel filter
@@ -309,12 +313,10 @@ class DiscTrans(Model):
     """
 
     def __init__(self, in_hw: int, seed: int, prior_blocks: int = 2):
-        super().__init__()
         if prior_blocks < 1:
             raise ValueError(f"prior_blocks must be >= 1, got {prior_blocks}")
-        self.in_hw = in_hw
         rng = generator(seed, "disc-trans-init")
-        self.stack, main_flat = _disc_stack(self, "main", rng, in_hw)
+        super().__init__(in_hw, rng)
 
         self.prior: list[tuple[Conv2dLayer, SobelLayer]] = []
         cin = 1
@@ -332,10 +334,9 @@ class DiscTrans(Model):
                     "prior blocks")
             self.prior.append((conv, sobel))
             cin = 2 * cout
-        prior_flat = cin * hw * hw
-        self.head = LinearLayer(self, "head", main_flat + prior_flat, 1, rng)
-        self._main_flat = main_flat
-        self._prior_flat = prior_flat
+        self._prior_flat = cin * hw * hw
+        self.head = LinearLayer(self, "head", self._flat + self._prior_flat,
+                                1, rng)
 
     def prior_branch(self, img: Tensor) -> Tensor:
         t = img
@@ -346,15 +347,8 @@ class DiscTrans(Model):
     def __call__(self, img: Tensor) -> tuple[Tensor, Tensor]:
         """Returns (logit [N,1], prior latent v_p)."""
         v_p = self.prior_branch(img)
-        t = img
-        for conv in self.stack:
-            t = T.leaky_relu(conv(t), LRELU_SLOPE)
-        n = t.shape[0]
-        if t.size // n != self._main_flat or v_p.size // n != self._prior_flat:
-            raise ValueError(
-                f"discriminator built for {self.in_hw}x{self.in_hw} inputs, "
-                f"got {img.shape[2]}x{img.shape[3]}")
-        v_g = T.reshape(t, (n, self._main_flat))
+        n = img.shape[0]
+        v_g = self._trunk(img, v_p.size // n == self._prior_flat)
         fused = T.concat([T.reshape(v_p, (n, self._prior_flat)), v_g], axis=1)
         return self.head(fused), v_p
 
@@ -377,7 +371,6 @@ class FeatureExtractor(Model):
             raise ValueError(
                 f"tap_depth must be one of {PRIOR_DEPTHS}, got {tap_depth!r}")
         self.tap_depth = tap_depth
-        self.stage_weights = [1.0 / self.K] * self.K
         rng = generator(_FEATURE_EXTRACTOR_SEED, "feature-extractor")
         self.stages = []
         cin = 1

@@ -13,7 +13,7 @@ produce byte-identical checkpoints and logs.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -35,44 +35,56 @@ from .tensor import Tensor
 PRESETS = ("desk", "paper-scale")
 
 
+def _opt(default, text: str, **extra):
+    """A field that ``dasr train`` exposes as a flag; see TrainConfig."""
+    return field(default=default, metadata={"help": text, **extra})
+
+
 @dataclass
 class TrainConfig:
-    scale: int = 2
-    lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch: int = 4
-    lr_crop: int = 64
+    """Every training setting. ``dasr train`` builds its flags from the
+    fields made with ``_opt``: ``--name-with-dashes`` (or the ``flag``
+    entry), parsed by the field's type and limited to ``choices``; the help
+    text gets the default appended unless it is None. The step counts are
+    set through ``--steps`` instead."""
+
+    scale: int = _opt(2, "upscaling factor", choices=(2, 4))
+    lr: float = _opt(1e-5, "learning rate")
+    beta1: float = _opt(0.9, "Adam beta1")
+    beta2: float = _opt(0.999, "Adam beta2")
+    eps: float = _opt(1e-8, "Adam epsilon")
+    batch: int = _opt(4, "batch size")
+    lr_crop: int = _opt(64, "LR crop size")
     steps_stage1: int = 1000
     steps_stage2: int = 1000
-    alpha: float = 0.1
-    beta: float = 1.0
-    prior_depth: str = "middle"
-    trans_mode: str = "prior-branch"
-    noise_sigma: float = 0.1
-    adv_enabled: bool = True
-    seed: int = 0
-    preset: str = "desk"
-    prior_blocks: int = 2
-    grad_clip: float = 1.0
-    ir_replay: bool = True
-    init_trans_from_spre: bool = False
-    feature_weights: Optional[list[float]] = None
+    alpha: float = _opt(0.1, "noise loss weight")
+    beta: float = _opt(1.0, "texture prior loss weight")
+    prior_depth: str = _opt("middle", "feature tap depth",
+                            choices=PRIOR_DEPTHS)
+    trans_mode: str = _opt("prior-branch", "texture loss mode",
+                           choices=losses.TRANS_MODES)
+    noise_sigma: float = _opt(0.1, "noise pattern sigma")
+    adv_enabled: bool = _opt(True, "adversarial generator term",
+                             flag="--adv")
+    seed: int = _opt(0, "run seed")
+    preset: str = _opt("desk", "generator preset", choices=PRESETS)
+    prior_blocks: int = _opt(2, "texture-prior branch blocks")
+    grad_clip: float = _opt(1.0, "global grad-norm clip, 0 disables")
+    ir_replay: bool = _opt(True, "stage-2 IR replay batches")
+    init_trans_from_spre: bool = _opt(
+        False, "seed the texture discriminator's main branch from the "
+               "stage-1 discriminator")
+    feature_weights: Optional[list[float]] = _opt(
+        None, "comma-separated per-stage noise-loss weights (default: "
+              "one-hot at --prior-depth)")
 
     def __post_init__(self):
-        if self.scale not in (2, 4):
-            raise ValueError(f"scale must be 2 or 4, got {self.scale}")
-        if self.preset not in PRESETS:
-            raise ValueError(f"preset must be one of {PRESETS}, "
-                             f"got {self.preset!r}")
-        if self.prior_depth not in PRIOR_DEPTHS:
-            raise ValueError(f"prior_depth must be one of {PRIOR_DEPTHS}, "
-                             f"got {self.prior_depth!r}")
-        if self.trans_mode not in losses.TRANS_MODES:
-            raise ValueError(
-                f"trans_mode must be one of {losses.TRANS_MODES}, "
-                f"got {self.trans_mode!r}")
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            value = getattr(self, f.name)
+            if choices is not None and value not in choices:
+                raise ValueError(f"{f.name} must be one of {choices}, "
+                                 f"got {value!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
         if self.batch < 1 or self.lr_crop < 1:
@@ -168,11 +180,11 @@ def _to_nchw(imgs: list[Image]) -> Tensor:
 
 
 def _batch(samples: list[_Sample], rng: np.random.Generator,
-           config: TrainConfig, use_vis: bool) -> tuple[Tensor, Tensor, list]:
-    """(lr batch, hr-IR batch, crop seeds); LR comes from the visible or IR
-    stream depending on the stage."""
+           config: TrainConfig, use_vis: bool) -> tuple[Tensor, Tensor]:
+    """(lr batch, hr-IR batch); LR comes from the visible or IR stream
+    depending on the stage."""
     idxs = rng.integers(0, len(samples), size=config.batch)
-    lr_list, hr_list, seeds = [], [], []
+    lr_list, hr_list = [], []
     for i in idxs:
         s = samples[int(i)]
         lr_img = s.lr_vis_luma if use_vis else s.lr_ir
@@ -181,8 +193,7 @@ def _batch(samples: list[_Sample], rng: np.random.Generator,
                                         config.scale, seed)
         lr_list.append(lr_c)
         hr_list.append(hr_c)
-        seeds.append(seed)
-    return _to_nchw(lr_list), _to_nchw(hr_list), seeds
+    return _to_nchw(lr_list), _to_nchw(hr_list)
 
 
 class _LossLog:
@@ -247,7 +258,7 @@ def train_stage1(manifest: DatasetManifest, config: TrainConfig,
     log = _LossLog(log_path)
 
     for step in range(config.steps_stage1):
-        lr_t, hr_t, _ = _batch(samples, rng, config, use_vis=False)
+        lr_t, hr_t = _batch(samples, rng, config, use_vis=False)
         lb = LossBreakdown()
 
         sr_fake = gen(lr_t)
@@ -338,7 +349,7 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
     hr_size = (config.hr_crop(), config.hr_crop())
 
     for step in range(config.steps_stage2):
-        lr_vis_t, hr_t, _ = _batch(samples, rng, config, use_vis=True)
+        lr_vis_t, hr_t = _batch(samples, rng, config, use_vis=True)
         noise_seed = int(rng.integers(0, 2 ** 62))
         lb = LossBreakdown()
 
@@ -396,7 +407,7 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
 
         # optional IR replay round: one plain MAE step on IR pairs
         if config.ir_replay:
-            lr_ir_t, hr_ir_t, _ = _batch(samples, rng, config, use_vis=False)
+            lr_ir_t, hr_ir_t = _batch(samples, rng, config, use_vis=False)
             gen.zero_grad()
             replay = losses.l_mae(gen(lr_ir_t), hr_ir_t)
             T.backward(replay)
@@ -453,7 +464,8 @@ def evaluate_checkpoint(ckpt: Checkpoint, manifest: DatasetManifest,
     if manifest.scale != config.scale:
         raise ValueError(f"manifest scale {manifest.scale} != checkpoint "
                          f"scale {config.scale}")
-    gen, _ = generator_from_checkpoint(ckpt)
+    gen = build_generator(config)
+    _load_model_tensors(gen, ckpt, "gen")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     model_pairs, bicubic_pairs = [], []

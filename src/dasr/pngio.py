@@ -111,6 +111,9 @@ def read_png(path: str) -> np.ndarray:
             raise ImageFormatError(f"{path}: truncated PNG chunk {tag!r}")
         pos += 12 + length
         if tag == b"IHDR":
+            if length != 13:
+                raise ImageFormatError(
+                    f"{path}: IHDR payload is {length} bytes (need 13)")
             (width, height, bit_depth, color_type, comp, filt,
              interlace) = struct.unpack(">IIBBBBB", payload)
             if bit_depth != 8:
@@ -129,7 +132,10 @@ def read_png(path: str) -> np.ndarray:
     if width is None:
         raise ImageFormatError(f"{path}: missing IHDR")
     channels = 1 if color_type == 0 else 3
-    raw = zlib.decompress(bytes(idat))
+    try:
+        raw = zlib.decompress(bytes(idat))
+    except zlib.error as exc:
+        raise ImageFormatError(f"{path}: corrupt IDAT stream: {exc}") from exc
     expected = height * (width * channels + 1)
     if len(raw) != expected:
         raise ImageFormatError(
@@ -181,7 +187,10 @@ def read_pnm(path: str) -> np.ndarray:
             raise ImageFormatError(f"{path}: malformed PNM header")
         tokens.append(blob[start:pos])
     pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(t) for t in tokens)
+    try:
+        w, h, maxval = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise ImageFormatError(f"{path}: non-numeric PNM header") from exc
     if maxval != 255:
         raise ImageFormatError(
             f"{path}: max-val {maxval} unsupported (need 255)")

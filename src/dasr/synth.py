@@ -73,6 +73,9 @@ class DatasetManifest:
     def load(path: str) -> "DatasetManifest":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        for key in ("scale", "entries"):
+            if key not in doc:
+                raise ValueError(f"{path}: manifest has no {key!r} key")
         deg = doc.get("degradation", {})
         return DatasetManifest(
             scale=int(doc["scale"]),
@@ -86,9 +89,6 @@ class DatasetManifest:
                      for e in doc["entries"]],
             base_dir=os.path.dirname(os.path.abspath(path)),
         )
-
-    def has_vis(self) -> bool:
-        return all(e.vis is not None for e in self.entries)
 
     def load_hr_pair(self, idx: int) -> tuple[Image, Optional[Image]]:
         """HR IR (and the aligned visible image when present), both cropped
@@ -210,45 +210,3 @@ def make_synthetic_dataset(spec: SyntheticSceneSpec, out_dir: str,
     manifest.save(os.path.join(out_dir, "manifest.json"))
     return manifest
 
-
-_IMAGE_EXTS = (".png", ".pgm", ".ppm")
-
-
-def ingest_dataset(ir_dir: str, vis_dir: Optional[str], scale: int,
-                   degradation: DegradationSpec) -> DatasetManifest:
-    """Build a manifest from directories of images.
-
-    Visible files must name-match their IR files. All problems (unreadable
-    files, missing matches) are aggregated into a single error.
-    """
-    names = sorted(f for f in os.listdir(ir_dir)
-                   if f.lower().endswith(_IMAGE_EXTS))
-    if not names:
-        raise ValueError(f"ingest: no images found in {ir_dir}")
-    problems = []
-    manifest = DatasetManifest(scale=scale, degradation=degradation,
-                               base_dir=os.path.abspath(ir_dir))
-    for name in names:
-        ir_path = os.path.join(ir_dir, name)
-        try:
-            load_image(ir_path)
-        except Exception as exc:
-            problems.append(f"{ir_path}: {exc}")
-            continue
-        vis_rel = None
-        if vis_dir is not None:
-            vis_path = os.path.join(vis_dir, name)
-            if not os.path.exists(vis_path):
-                problems.append(f"{vis_path}: no visible match for {name}")
-                continue
-            try:
-                load_image(vis_path)
-            except Exception as exc:
-                problems.append(f"{vis_path}: {exc}")
-                continue
-            vis_rel = os.path.relpath(vis_path, manifest.base_dir)
-        manifest.entries.append(ManifestEntry(ir=name, vis=vis_rel))
-    if problems:
-        raise ValueError("ingest found problems:\n  "
-                         + "\n  ".join(problems))
-    return manifest

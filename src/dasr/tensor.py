@@ -101,29 +101,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op or 'leaf'})"
 
-    # small amount of operator sugar used by the loss code
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 class Parameter(Tensor):
     """A named, gradient-tracked tensor owned by a model."""
@@ -205,14 +182,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(a.data * np.float32(s), (a,), backward, "scale")
 
 
-def add_scalar(a: Tensor, s: float) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-
-    return _make(a.data + np.float32(s), (a,), backward, "add_scalar")
-
-
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
     """max(x, slope*x); the subgradient at exactly 0 uses the negative slope."""
     if not 0.0 < slope < 1.0:
@@ -238,16 +207,6 @@ def softplus(x: Tensor) -> Tensor:
             x.accumulate_grad(g * sig.astype(np.float32))
 
     return _make(out_data, (x,), backward, "softplus")
-
-
-def sqrt(x: Tensor) -> Tensor:
-    out_data = np.sqrt(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g / (2.0 * np.maximum(out_data, np.float32(1e-12))))
-
-    return _make(out_data, (x,), backward, "sqrt")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -529,28 +488,6 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
 
     return _make(np.ascontiguousarray(out_data), (x,), backward,
                  "pixel_shuffle")
-
-
-def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
-    """Space-to-depth, the exact inverse of pixel_shuffle."""
-    n, c, hr, wr = x.shape
-    if hr % r != 0 or wr % r != 0:
-        raise ValueError(
-            f"pixel_unshuffle: extents {hr}x{wr} not divisible by r={r}")
-    h, wd = hr // r, wr // r
-    out_data = (x.data.reshape(n, c, h, r, wd, r)
-                .transpose(0, 1, 3, 5, 2, 4)
-                .reshape(n, c * r * r, h, wd))
-
-    def backward(g):
-        if x.requires_grad:
-            gi = (g.reshape(n, c, r, r, h, wd)
-                  .transpose(0, 1, 4, 2, 5, 3)
-                  .reshape(n, c, hr, wr))
-            x.accumulate_grad(np.ascontiguousarray(gi))
-
-    return _make(np.ascontiguousarray(out_data), (x,), backward,
-                 "pixel_unshuffle")
 
 
 # ---------------------------------------------------------------------------

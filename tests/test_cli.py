@@ -3,11 +3,12 @@
 import hashlib
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dasr.cli import build_parser, main
+from dasr.cli import _merged_config, build_parser, main
 from dasr.imaging import Image, load_image, save_image, sobel_map
 from dasr.pipeline import TrainConfig
 
@@ -87,6 +88,63 @@ class TestHelpAndUsage:
                 cfg.prior_depth) == (1e-5, 64, 0.1, 1.0, "middle")
 
 
+# a non-default command-line value for every flagged TrainConfig field, and
+# the value it must set
+FLAG_VALUES = {
+    "scale": ("4", 4),
+    "lr": ("0.003", 0.003),
+    "beta1": ("0.8", 0.8),
+    "beta2": ("0.99", 0.99),
+    "eps": ("1e-07", 1e-7),
+    "batch": ("3", 3),
+    "lr_crop": ("10", 10),
+    "alpha": ("0.25", 0.25),
+    "beta": ("0.5", 0.5),
+    "prior_depth": ("deep", "deep"),
+    "trans_mode": ("raw-sobel", "raw-sobel"),
+    "noise_sigma": ("0.2", 0.2),
+    "adv_enabled": ("off", False),
+    "seed": ("9", 9),
+    "preset": ("paper-scale", "paper-scale"),
+    "prior_blocks": ("3", 3),
+    "grad_clip": ("0.5", 0.5),
+    "ir_replay": ("off", False),
+    "init_trans_from_spre": ("on", True),
+    "feature_weights": ("0.2,0.3,0.5", [0.2, 0.3, 0.5]),
+}
+FLAG_NAMES = {"adv_enabled": "--adv"}
+TRAIN_ARGS = ["train", "--stage", "1", "--data", "d", "--ckpt-out", "o"]
+
+
+def merged(argv):
+    return _merged_config(build_parser().parse_args(argv))
+
+
+class TestTrainFlags:
+    @pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig)
+                                      if not f.name.startswith("steps_")])
+    def test_flag_sets_its_field(self, name):
+        assert name in FLAG_VALUES, f"no test value for field {name}"
+        text, want = FLAG_VALUES[name]
+        default = TrainConfig().to_dict()
+        assert want != default[name]
+        flag = FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        got = merged(TRAIN_ARGS + [flag, text]).to_dict()
+        assert got[name] == want
+        del got[name], default[name]
+        assert got == default
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_steps_sets_the_stage_step_count(self, stage):
+        argv = ["train", "--stage", str(stage), "--data", "d",
+                "--ckpt-out", "o", "--steps", "7"]
+        got = merged(argv)
+        other = 2 if stage == 1 else 1
+        assert getattr(got, f"steps_stage{stage}") == 7
+        assert (getattr(got, f"steps_stage{other}")
+                == getattr(TrainConfig(), f"steps_stage{other}"))
+
+
 class TestSynth:
     def test_writes_pairs_and_manifest(self, dataset_dir):
         assert len(os.listdir(os.path.join(dataset_dir, "ir"))) == 4
@@ -124,6 +182,27 @@ class TestDegrade:
                     for n in sorted(os.listdir(out))]
             means.append(float(np.mean(vals)))
         assert means[0] > means[1] > means[2]
+
+    def test_odd_extent_matches_imaging_degrade(self, tmp_path):
+        from dasr.imaging import DegradationSpec, degrade, quantize8
+        rng = np.random.default_rng(8)
+        src = tmp_path / "in"
+        src.mkdir()
+        names = ("a.png", "b.png")
+        for name in names:
+            save_image(Image(rng.random((49, 51, 1))), str(src / name))
+        out = str(tmp_path / "lr")
+        assert run(["degrade", "--in", str(src), "--out", out, "--scale",
+                    "2", "--blur-sigma", "1.2", "--noise-sigma", "0.05",
+                    "--seed", "4"]) == 0
+        spec = DegradationSpec(scale=2, blur_sigma=1.2, noise_sigma=0.05,
+                               seed=4)
+        for i, name in enumerate(names):
+            hr = Image(load_image(str(src / name)).array[:48, :50])
+            want = degrade(hr, spec, spec.seed + i)
+            got = load_image(os.path.join(out, name))
+            assert (got.height, got.width) == (24, 25)
+            assert np.array_equal(quantize8(got), quantize8(want))
 
     def test_zero_sigmas_is_pure_bicubic(self, dataset_dir, tmp_path):
         from dasr.imaging import bicubic_resize

@@ -8,7 +8,7 @@ import pytest
 from dasr.imaging import (DegradationSpec, Image, add_gaussian_noise,
                           bicubic_resize, degrade, gaussian_blur, load_image,
                           random_paired_crop, save_image, sobel_map, to_luma)
-from dasr.pngio import ImageFormatError
+from dasr.pngio import _PNG_SIG, ImageFormatError, _chunk
 
 
 def sobel_oracle(gray):
@@ -74,6 +74,28 @@ class TestIO:
     def test_pgm_rejects_multichannel(self, tmp_path):
         with pytest.raises(ImageFormatError, match="PGM"):
             save_image(Image(np.zeros((4, 4, 3))), str(tmp_path / "x.pgm"))
+
+    def test_png_short_ihdr_is_format_error(self, tmp_path):
+        p = tmp_path / "short_ihdr.png"
+        p.write_bytes(_PNG_SIG + _chunk(b"IHDR", bytes(12))
+                      + _chunk(b"IEND", b""))
+        with pytest.raises(ImageFormatError, match="IHDR"):
+            load_image(str(p))
+
+    def test_png_corrupt_idat_is_format_error(self, tmp_path):
+        p = tmp_path / "bad_idat.png"
+        save_image(Image(np.zeros((4, 4, 1))), str(p))
+        ihdr = p.read_bytes()[8:8 + 25]
+        p.write_bytes(_PNG_SIG + ihdr + _chunk(b"IDAT", b"not zlib")
+                      + _chunk(b"IEND", b""))
+        with pytest.raises(ImageFormatError, match="IDAT"):
+            load_image(str(p))
+
+    def test_pnm_non_numeric_header_is_format_error(self, tmp_path):
+        p = tmp_path / "word.pgm"
+        p.write_bytes(b"P5\nwide 2\n255\n" + bytes(4))
+        with pytest.raises(ImageFormatError, match="word.pgm"):
+            load_image(str(p))
 
 
 class TestToLuma:

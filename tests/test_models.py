@@ -139,6 +139,11 @@ class TestDiscSpre:
 
 
 class TestDiscTrans:
+    def test_resolution_mismatch_names_build_size(self):
+        d = DiscTrans(in_hw=32, seed=16)
+        with pytest.raises(ValueError, match="32x32"):
+            d(Tensor(np.zeros((1, 1, 48, 48))))
+
     def test_constant_input_gives_zero_prior_latent(self):
         d = DiscTrans(in_hw=32, seed=10)
         logit, v_p = d(Tensor(np.full((2, 1, 32, 32), 0.37)))
@@ -224,7 +229,6 @@ class TestFeatureExtractor:
         assert FeatureExtractor("shallow").tap_weights() == [1.0, 0.0, 0.0]
         assert FeatureExtractor("middle").tap_weights() == [0.0, 1.0, 0.0]
         assert FeatureExtractor("deep").tap_weights() == [0.0, 0.0, 1.0]
-        assert sum(FeatureExtractor().stage_weights) == pytest.approx(1.0)
         with pytest.raises(ValueError, match="tap_depth"):
             FeatureExtractor("bottom")
 

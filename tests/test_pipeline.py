@@ -1,6 +1,7 @@
-"""Dataset synthesis/ingestion, training contracts, checkpoints, eval."""
+"""Dataset synthesis and manifests, training contracts, checkpoints, eval."""
 
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -13,7 +14,7 @@ from dasr.metrics import evaluate_set
 from dasr.pipeline import (TrainConfig, build_generator, evaluate_checkpoint,
                            generator_from_checkpoint, super_resolve,
                            train_stage1, train_stage2)
-from dasr.synth import (DatasetManifest, SyntheticSceneSpec, ingest_dataset,
+from dasr.synth import (DatasetManifest, ManifestEntry, SyntheticSceneSpec,
                         make_synthetic_dataset)
 
 
@@ -70,48 +71,15 @@ class TestSynth:
             assert sobel_map(vis).mean() > sobel_map(ir).mean()
 
 
-class TestIngest:
-    def test_empty_directory_errors(self, tmp_path):
-        with pytest.raises(ValueError, match="no images"):
-            ingest_dataset(str(tmp_path), None, 2, DegradationSpec())
-
-    def test_matched_pairs(self, tmp_path):
-        rng = np.random.default_rng(0)
-        ir_dir = tmp_path / "ir"
-        vis_dir = tmp_path / "vis"
-        ir_dir.mkdir()
-        vis_dir.mkdir()
-        for i in range(5):
-            save_image(Image(rng.random((16, 16, 1))),
-                       str(ir_dir / f"{i}.png"))
-            save_image(Image(rng.random((16, 16, 3))),
-                       str(vis_dir / f"{i}.png"))
-        man = ingest_dataset(str(ir_dir), str(vis_dir), 2, DegradationSpec())
-        assert len(man.entries) == 5
-        assert man.has_vis()
-
+class TestManifest:
     def test_odd_extent_cropped_to_scale_multiple(self, tmp_path):
         save_image(Image(np.random.default_rng(1).random((65, 65, 1))),
                    str(tmp_path / "odd.png"))
-        man = ingest_dataset(str(tmp_path), None, 2, DegradationSpec())
+        man = DatasetManifest(scale=2, degradation=DegradationSpec(),
+                              entries=[ManifestEntry(ir="odd.png")],
+                              base_dir=str(tmp_path))
         hr, _ = man.load_hr_pair(0)
         assert (hr.height, hr.width) == (64, 64)
-
-    def test_problems_aggregated(self, tmp_path):
-        ir_dir = tmp_path / "ir"
-        vis_dir = tmp_path / "vis"
-        ir_dir.mkdir()
-        vis_dir.mkdir()
-        rng = np.random.default_rng(2)
-        save_image(Image(rng.random((8, 8, 1))), str(ir_dir / "a.png"))
-        save_image(Image(rng.random((8, 8, 1))), str(ir_dir / "b.png"))
-        (ir_dir / "c.png").write_bytes(b"corrupt")
-        save_image(Image(rng.random((8, 8, 3))), str(vis_dir / "a.png"))
-        with pytest.raises(ValueError) as err:
-            ingest_dataset(str(ir_dir), str(vis_dir), 2, DegradationSpec())
-        msg = str(err.value)
-        assert "no visible match for b.png" in msg
-        assert "c.png" in msg
 
 
 class TestStage1:
@@ -180,8 +148,10 @@ class TestStage2:
         for i in range(2):
             save_image(Image(rng.random((48, 48, 1))),
                        str(ir_dir / f"{i}.png"))
-        man = ingest_dataset(str(ir_dir), None, 2,
-                             DegradationSpec(scale=2))
+        man = DatasetManifest(
+            scale=2, degradation=DegradationSpec(scale=2),
+            entries=[ManifestEntry(ir=f"{i}.png") for i in range(2)],
+            base_dir=str(ir_dir))
         with pytest.raises(ValueError, match="visible"):
             train_stage2(stage1_ckpt, man, small_config())
 
@@ -233,6 +203,15 @@ class TestCheckpointFormat:
         p = tmp_path / "short.dasr"
         p.write_bytes(bytes(blob[:-8]))  # drop two floats of payload
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(str(p))
+
+    def test_non_utf8_tensor_name(self, tmp_path):
+        ck = Checkpoint(stage="stage1", config={},
+                        tensors={"ab": np.ones(2, dtype=np.float32)})
+        blob = checkpoint_bytes(ck).replace(b"ab", b"\xff\xfe")
+        p = tmp_path / "name.dasr"
+        p.write_bytes(blob)
+        with pytest.raises(CheckpointError, match="tensor name"):
             load_checkpoint(str(p))
 
     def test_stage_roundtrip(self, tmp_path):
@@ -305,6 +284,16 @@ class TestManifestRoundTrip:
         assert back.scale == dataset.scale
         assert len(back.entries) == len(dataset.entries)
         assert back.degradation.seed == dataset.degradation.seed
+
+    @pytest.mark.parametrize("key", ["scale", "entries"])
+    def test_missing_key_is_named(self, dataset, tmp_path, key):
+        p = tmp_path / "m.json"
+        dataset.save(str(p))
+        doc = json.loads(p.read_text())
+        del doc[key]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=key):
+            DatasetManifest.load(str(p))
 
     def test_unknown_config_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):

@@ -118,11 +118,14 @@ class TestPixelShuffle:
         assert out.shape == (1, 1, 2, 2)
         assert np.array_equal(out.data[0, 0], [[1, 2], [3, 4]])
 
-    def test_round_trip_identity(self):
+    def test_matches_index_oracle(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.random((2, 8, 3, 5)))
-        back = T.pixel_unshuffle(T.pixel_shuffle(x, 2), 2)
-        assert np.array_equal(back.data, x.data)
+        out = T.pixel_shuffle(x, 2).data
+        assert out.shape == (2, 2, 6, 10)
+        for n, c, h, w, i, j in np.ndindex(2, 2, 3, 5, 2, 2):
+            assert (out[n, c, 2 * h + i, 2 * w + j]
+                    == x.data[n, 4 * c + 2 * i + j, h, w])
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
