@@ -12,6 +12,7 @@ produces identical bytes.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -40,10 +41,23 @@ class Checkpoint:
             raise CheckpointError(f"unknown stage tag {self.stage!r}")
 
 
+def atomic_write(path: str, data: bytes) -> None:
+    """Write ``data`` to a temp file next to ``path``, then rename it over
+    ``path``: a failed or interrupted write leaves the previous file whole
+    and no temp file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    blob = checkpoint_bytes(ckpt)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    atomic_write(path, checkpoint_bytes(ckpt))
 
 
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import losses, tensor as T
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, atomic_write
 from .imaging import (Image, add_gaussian_noise, bicubic_resize,
                       random_paired_crop, save_image, to_luma)
 from .losses import LossBreakdown, LossWeights
@@ -38,6 +38,23 @@ PRESETS = ("desk", "paper-scale")
 def _opt(default, text: str, **extra):
     """A field that ``dasr train`` exposes as a flag; see TrainConfig."""
     return field(default=default, metadata={"help": text, **extra})
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# field annotation -> (what the error message says, check)
+_TYPE_CHECKS = {
+    "int": ("int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("float", _is_number),
+    "bool": ("bool", lambda v: isinstance(v, bool)),
+    "str": ("str", lambda v: isinstance(v, str)),
+    "Optional[list[float]]": (
+        "None or a list of numbers",
+        lambda v: v is None or (isinstance(v, list)
+                                and all(_is_number(x) for x in v))),
+}
 
 
 @dataclass
@@ -82,6 +99,10 @@ class TrainConfig:
         for f in fields(self):
             choices = f.metadata.get("choices")
             value = getattr(self, f.name)
+            kind, ok = _TYPE_CHECKS[f.type]
+            if not ok(value):
+                raise ValueError(f"{f.name} must be {kind}, "
+                                 f"got {type(value).__name__}")
             if choices is not None and value not in choices:
                 raise ValueError(f"{f.name} must be one of {choices}, "
                                  f"got {value!r}")
@@ -208,8 +229,8 @@ class _LossLog:
 
     def flush(self) -> None:
         if self.path:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(self.rows) + "\n")
+            atomic_write(self.path,
+                         ("\n".join(self.rows) + "\n").encode("utf-8"))
 
 
 def _checkpoint(stage: str, config: TrainConfig, gen: Generator,
@@ -365,8 +386,8 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
             noise_imgs.append(_noise_image(lr_img, hr_size,
                                            config.noise_sigma,
                                            derive_seed(noise_seed, bi)))
-        noise_t = _to_nchw(noise_imgs)
-        noise_feats = [f.detach() for f in fe(noise_t)]
+        with T.no_grad():
+            noise_feats = fe(_to_nchw(noise_imgs))
 
         # discriminator step: maximize real/fake separation and the
         # texture-prior distance
@@ -428,7 +449,8 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
 def super_resolve(gen: Generator, lr: Image, tile: int = 64,
                   overlap: int = 8) -> Image:
     """Run the generator over a full LR image, tiled with overlap; seams
-    are blended by averaging the overlapping predictions."""
+    are blended by averaging the overlapping predictions. Builds no
+    autograd graph."""
     lr = to_luma(lr)
     scale = gen.config.scale
     h, w = lr.height, lr.width
@@ -440,13 +462,14 @@ def super_resolve(gen: Generator, lr: Image, tile: int = 64,
     xs = sorted(set(list(range(0, max(w - tw, 0) + 1, step_w)) + [w - tw]))
     acc = np.zeros((h * scale, w * scale), dtype=np.float64)
     cnt = np.zeros((h * scale, w * scale), dtype=np.float64)
-    for y in ys:
-        for x in xs:
-            patch = lr.array[y:y + th, x:x + tw, 0]
-            out = gen(Tensor(patch[None, None].astype(np.float32)))
-            sy, sx = y * scale, x * scale
-            acc[sy:sy + th * scale, sx:sx + tw * scale] += out.data[0, 0]
-            cnt[sy:sy + th * scale, sx:sx + tw * scale] += 1.0
+    with T.no_grad():
+        for y in ys:
+            for x in xs:
+                patch = lr.array[y:y + th, x:x + tw, 0]
+                out = gen(Tensor(patch[None, None].astype(np.float32)))
+                sy, sx = y * scale, x * scale
+                acc[sy:sy + th * scale, sx:sx + tw * scale] += out.data[0, 0]
+                cnt[sy:sy + th * scale, sx:sx + tw * scale] += 1.0
     sr = acc / cnt
     return Image(np.clip(sr, 0.0, 1.0)[:, :, None])
 

@@ -76,6 +76,10 @@ class DatasetManifest:
         for key in ("scale", "entries"):
             if key not in doc:
                 raise ValueError(f"{path}: manifest has no {key!r} key")
+        for i, e in enumerate(doc["entries"]):
+            if not isinstance(e, dict) or "ir" not in e:
+                raise ValueError(f"{path}: manifest entry {i} has no 'ir' "
+                                 f"key")
         deg = doc.get("degradation", {})
         return DatasetManifest(
             scale=int(doc["scale"]),

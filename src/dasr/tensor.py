@@ -4,7 +4,18 @@ The engine is deliberately small: every operation needed by the networks in
 this package (strided convolution, leaky ReLU, pixel shuffle, concatenation,
 affine maps, reductions) builds a backward graph of closures, and
 ``backward`` walks it in reverse topological order. Graphs are rebuilt every
-training step; nothing here keeps global state.
+training step.
+
+Graphs are acyclic: a node refers to its inputs, never to its outputs or to
+a container the caller keeps growing, so reference counting frees a graph,
+with the window matrices its convolutions keep, as soon as its last output
+is dropped; no cyclic garbage collection is needed.
+
+``no_grad()`` is a context manager in the manner of ``torch.no_grad``: ops
+run inside it build no graph (outputs have no ``_prev``/``_backward`` and
+``requires_grad`` is False), and ``conv2d`` keeps no window matrix. Forward
+values are the same bits as outside it. Inference and frozen feature
+targets use it.
 
 Conventions:
   * 4-D tensors are laid out [batch, channel, height, width].
@@ -27,6 +38,9 @@ _ACTIVE_DTYPE = np.float32
 # walk-local gradient accumulator; a backward() in flight owns it
 _WALK: Optional[dict] = None
 
+# False inside no_grad(): ops then record no graph
+_GRAD_ENABLED = True
+
 
 @contextlib.contextmanager
 def precise_mode():
@@ -37,6 +51,18 @@ def precise_mode():
         yield
     finally:
         _ACTIVE_DTYPE = prev
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording a backward graph."""
+    global _GRAD_ENABLED
+    prev = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
 
 
 def _as_f32(data) -> np.ndarray:
@@ -117,9 +143,10 @@ class Parameter(Tensor):
 
 
 def _make(out_data, parents: Sequence[Tensor], backward, op: str) -> Tensor:
-    """Wrap op output; attach a node only if some parent is tracked."""
+    """Wrap op output; attach a node only if grad is enabled and some
+    parent is tracked."""
     out = Tensor(out_data)
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._prev = tuple(parents)
         out._backward = backward
@@ -222,6 +249,9 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     """Concatenate along ``axis``; all other extents must agree."""
+    # a snapshot, so the backward closure never refers to a list the caller
+    # keeps appending this op's output to (that would close a cycle)
+    tensors = tuple(tensors)
     if len(tensors) == 0:
         raise ValueError("concat: need at least one tensor")
     ref = tensors[0].shape
@@ -244,7 +274,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 t.accumulate_grad(g[tuple(idx)])
 
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    return _make(out_data, tuple(tensors), backward, "concat")
+    return _make(out_data, tensors, backward, "concat")
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +430,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     ho, wo = out_data.shape[2], out_data.shape[3]
 
     parents = (x, w) if b is None else (x, w, b)
-    if not w.requires_grad:
+    if not (_GRAD_ENABLED and w.requires_grad):
         cols = None  # nothing will need the window matrix
 
     def backward(g):

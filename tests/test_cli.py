@@ -280,6 +280,27 @@ class TestTrain:
         assert code == 1
         assert "warp" in capsys.readouterr().err
 
+    def test_config_file_value_of_wrong_type_fails(self, dataset_dir,
+                                                   tmp_path, capsys):
+        cfg_file = tmp_path / "str.json"
+        cfg_file.write_text(json.dumps({"batch": "2"}))
+        code = run(["train", "--stage", "1", "--data", dataset_dir,
+                    "--config", str(cfg_file), "--steps", "0",
+                    "--ckpt-out", str(tmp_path / "x.dasr")])
+        assert code == 1
+        assert "batch must be int, got str" in capsys.readouterr().err
+
+    def test_config_file_int_for_float_field_accepted(self, dataset_dir,
+                                                      tmp_path):
+        from dasr.checkpoint import load_checkpoint
+        cfg_file = tmp_path / "int.json"
+        cfg_file.write_text(json.dumps({"lr": 1}))
+        ckpt = str(tmp_path / "i.dasr")
+        assert run(["train", "--stage", "1", "--data", dataset_dir,
+                    "--config", str(cfg_file), "--steps", "0",
+                    "--ckpt-out", ckpt]) == 0
+        assert load_checkpoint(ckpt).config["lr"] == 1
+
 
 class TestEval:
     def test_markdown_table_column_order(self, dataset_dir, trained_ckpt,

@@ -3,10 +3,12 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dasr import checkpoint
 from dasr.checkpoint import (Checkpoint, CheckpointError, checkpoint_bytes,
                              load_checkpoint, save_checkpoint)
 from dasr.imaging import DegradationSpec, Image, save_image, sobel_map
@@ -221,6 +223,55 @@ class TestCheckpointFormat:
         assert load_checkpoint(str(p)).stage == "stage2"
 
 
+class _TornFile:
+    """A file whose write stores half of its data, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def tear_writes(monkeypatch):
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda path, mode: _TornFile(open(path, mode)),
+                            raising=False)
+
+    def test_failed_checkpoint_write_keeps_previous_file(
+            self, stage1_ckpt, tmp_path, monkeypatch):
+        p = tmp_path / "c.dasr"
+        save_checkpoint(stage1_ckpt, str(p))
+        before = p.read_bytes()
+        assert before == checkpoint_bytes(stage1_ckpt)
+        self.tear_writes(monkeypatch)
+        other = Checkpoint(stage="stage2", config={}, tensors={})
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(other, str(p))
+        assert p.read_bytes() == before
+        assert os.listdir(tmp_path) == ["c.dasr"]
+
+    def test_failed_loss_log_write_keeps_previous_file(
+            self, dataset, tmp_path, monkeypatch):
+        p = tmp_path / "loss.csv"
+        p.write_text("previous run\n")
+        self.tear_writes(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            train_stage1(dataset, small_config(steps_stage1=0),
+                         log_path=str(p))
+        assert p.read_text() == "previous run\n"
+        assert os.listdir(tmp_path) == ["loss.csv"]
+
+
 class TestEvaluate:
     def test_hr_vs_hr_sanity(self, dataset):
         pairs = []
@@ -259,6 +310,18 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="scale"):
             evaluate_checkpoint(bad, dataset)
 
+    def test_super_resolve_memory_is_bounded(self):
+        # one 64-pixel tile's activations, not a retained graph per tile
+        gen = build_generator(small_config())
+        lr = Image(np.random.default_rng(2).random((80, 80, 1)))
+        tracemalloc.start()
+        try:
+            super_resolve(gen, lr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
+
     def test_tiled_inference_covers_and_blends(self, dataset, stage1_ckpt):
         gen, _ = generator_from_checkpoint(stage1_ckpt)
         hr, _ = dataset.load_hr_pair(0)
@@ -294,6 +357,27 @@ class TestManifestRoundTrip:
         p.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=key):
             DatasetManifest.load(str(p))
+
+    def test_entry_without_ir_is_named(self, dataset, tmp_path):
+        p = tmp_path / "m.json"
+        dataset.save(str(p))
+        doc = json.loads(p.read_text())
+        del doc["entries"][1]["ir"]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"m\.json: manifest entry 1 "
+                                             r"has no 'ir' key"):
+            DatasetManifest.load(str(p))
+
+    @pytest.mark.parametrize("doc, msg", [
+        ({"adv_enabled": 1}, "adv_enabled must be bool, got int"),
+        ({"seed": True}, "seed must be int, got bool"),
+        ({"alpha": "0.1"}, "alpha must be float, got str"),
+        ({"feature_weights": [0.5, "x", 0.5]},
+         "feature_weights must be None or a list of numbers, got list"),
+    ])
+    def test_config_value_types_checked(self, doc, msg):
+        with pytest.raises(ValueError, match=msg):
+            TrainConfig.from_dict(doc)
 
     def test_unknown_config_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):

@@ -1,9 +1,12 @@
 """Tensor engine: op semantics, oracles, and gradient checks."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from dasr import tensor as T
+from dasr.models import Generator, desk_generator_config
 from dasr.tensor import Tensor
 
 
@@ -322,3 +325,69 @@ class TestDeterminism:
         ]
         for f, x in checks:
             assert T.grad_check(f, x) < 1e-3
+
+
+def builds_graph() -> bool:
+    p = T.Parameter(np.ones(3, dtype=np.float32), "p")
+    return T.add(p, p)._backward is not None
+
+
+class TestNoGrad:
+    def test_generator_forward_bitwise_equal_and_graphless(self):
+        gen = Generator(desk_generator_config(2), seed=3)
+        x = Tensor(np.random.default_rng(3).random((2, 1, 10, 10)))
+        ref = gen(x)
+        ref_mean = T.mean(ref)
+        with T.no_grad():
+            out = gen(x)
+            out_mean = T.mean(out)
+        assert ref._backward is not None
+        assert out.data.dtype == ref.data.dtype
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert out_mean.hires == ref_mean.hires
+        for t in (out, out_mean):
+            assert t._backward is None
+            assert t._prev == ()
+            assert not t.requires_grad
+
+    def test_conv2d_with_tracked_weight_builds_no_node(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.random((1, 2, 6, 6)))
+        w = T.Parameter(rng.random((3, 2, 3, 3)), "w")
+        with T.no_grad():
+            out = T.conv2d(x, w, stride=2, padding=1)
+        assert out._backward is None
+        assert np.array_equal(out.data, T.conv2d(x, w, stride=2,
+                                                 padding=1).data)
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        assert builds_graph()
+        with T.no_grad():
+            with T.no_grad():
+                assert not builds_graph()
+            assert not builds_graph()
+        assert builds_graph()
+
+    def test_flag_restored_after_exception(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with T.no_grad():
+                raise RuntimeError("boom")
+        assert builds_graph()
+
+
+class TestGraphLifetime:
+    def test_generator_graph_freed_by_reference_counting(self):
+        # a reference cycle would leave the graph to the cyclic collector
+        gen = Generator(desk_generator_config(2), seed=1)
+        x = Tensor(np.random.default_rng(1).random((1, 1, 12, 12)))
+        gc.collect()
+        gc.disable()
+        try:
+            out = gen(x)
+            loss = T.mean(out)
+            T.backward(loss)
+            del out, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert gen.parameters()[0].grad is not None
