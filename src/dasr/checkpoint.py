@@ -12,6 +12,7 @@ produces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -134,7 +135,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"{path}: bad tensor name: {exc}") from exc
         rank = r.u8(f"rank of {name!r}")
         dims = tuple(r.u32(f"dim of {name!r}") for _ in range(rank))
-        count = int(np.prod(dims, dtype=np.int64)) if dims else 1
+        count = math.prod(dims)  # exact; an int64 product can wrap to 0
         payload = r.take(4 * count, f"payload of {name!r}")
         arr = np.frombuffer(payload, dtype="<f4").astype(np.float32)
         if arr.size != count:

@@ -77,14 +77,8 @@ def l_adversarial_d(real_logit: Tensor, fake_logit: Tensor) -> Tensor:
                  T.mean(T.softplus(fake_logit)))
 
 
-def l_adversarial_g(fake_logit: Tensor, saturating: bool = False) -> Tensor:
-    """Generator-side adversarial loss.
-
-    Default is the non-saturating -log sig(fake); ``saturating=True`` gives
-    the literal minimax term log(1 - sig(fake)) for analytic checks.
-    """
-    if saturating:
-        return T.scale(T.mean(T.softplus(fake_logit)), -1.0)
+def l_adversarial_g(fake_logit: Tensor) -> Tensor:
+    """Generator-side adversarial loss: the non-saturating -log sig(fake)."""
     return T.mean(T.softplus(T.scale(fake_logit, -1.0)))
 
 
@@ -123,7 +117,7 @@ def sobel_l1(pred: Tensor, target: Tensor) -> Tensor:
     acc = float(np.abs(diff).sum() / n)
     sign = np.sign(diff)
 
-    def grad_into(t: Tensor, gh, gv, s, sgn, g):
+    def grad_of(gh, gv, s, sgn, g):
         # d mean|.| / d magnitude, then chain through sqrt and the two
         # fixed valid correlations (transpose = full correlation with the
         # flipped kernel)
@@ -133,14 +127,13 @@ def sobel_l1(pred: Tensor, target: Tensor) -> Tensor:
         pad = ((0, 0), (0, 0), (2, 2), (2, 2))
         dx = (_corr_valid_depthwise(np.pad(dgh, pad), SOBEL_H[::-1, ::-1])
               + _corr_valid_depthwise(np.pad(dgv, pad), SOBEL_V[::-1, ::-1]))
-        t.accumulate_grad(dx.astype(np.float32))
+        return dx.astype(np.float32)
 
     def backward(g):
         g = float(g.reshape(()))
-        if pred.requires_grad:
-            grad_into(pred, *saved["p"], sign, g)
-        if target.requires_grad:
-            grad_into(target, *saved["t"], -sign, g)
+        gp = grad_of(*saved["p"], sign, g) if pred.requires_grad else None
+        gt = grad_of(*saved["t"], -sign, g) if target.requires_grad else None
+        return gp, gt
 
     out = T._make(T._ACTIVE_DTYPE(acc), (pred, target), backward, "sobel_l1")
     out.hires = acc

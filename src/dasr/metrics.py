@@ -1,9 +1,8 @@
 """Image quality metrics in the 8-bit domain, plus benchmark aggregation.
 
-MSE and PSNR quantize both images to the 8-bit grid first and work in
-0..255 units, which pins MAX = 255. SSIM defaults to the standard 11x11
-Gaussian-window (sigma 1.5) mean; a ``global`` mode evaluates the formula
-once over whole-image statistics.
+MSE, PSNR and SSIM quantize both images to the 8-bit grid first and work
+in 0..255 units, which pins MAX = 255. SSIM is the standard 11x11
+Gaussian-window (sigma 1.5) mean.
 """
 
 from __future__ import annotations
@@ -77,38 +76,16 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return np.outer(k, k)
 
 
-def _ssim_formula(mu1, mu2, var1, var2, cov, c1, c2):
-    return (((2.0 * mu1 * mu2 + c1) * (2.0 * cov + c2))
-            / ((mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)))
-
-
-def ssim(hr: Image, sr: Image, mode: str = "windowed",
-         data_range: float = 255.0) -> float:
-    """Structural similarity between two images.
-
-    ``windowed``: mean of the per-window formula over sliding 11x11
-    Gaussian windows (valid positions only), on the 8-bit grid when
-    data_range is 255. ``global``: the formula once over whole-image
-    statistics. Multi-channel input is converted to luminance.
-    """
+def ssim(hr: Image, sr: Image) -> float:
+    """Structural similarity between two images: the mean of the
+    per-window formula over sliding 11x11 Gaussian windows (valid positions
+    only), on the 8-bit grid. Multi-channel input is converted to
+    luminance."""
     _check_pair(hr, sr, "ssim")
-    if mode not in ("windowed", "global"):
-        raise ValueError(f"ssim: unknown mode {mode!r}")
-    if data_range == 255.0:
-        a = quantize8(to_luma(hr)).astype(np.float64)[:, :, 0]
-        b = quantize8(to_luma(sr)).astype(np.float64)[:, :, 0]
-    else:
-        a = to_luma(hr).array[:, :, 0].astype(np.float64)
-        b = to_luma(sr).array[:, :, 0].astype(np.float64)
-    c1 = (0.01 * data_range) ** 2
-    c2 = (0.03 * data_range) ** 2
-
-    if mode == "global":
-        mu1, mu2 = a.mean(), b.mean()
-        var1, var2 = a.var(), b.var()
-        cov = ((a - mu1) * (b - mu2)).mean()
-        return float(_ssim_formula(mu1, mu2, var1, var2, cov, c1, c2))
-
+    a = quantize8(to_luma(hr)).astype(np.float64)[:, :, 0]
+    b = quantize8(to_luma(sr)).astype(np.float64)[:, :, 0]
+    c1 = (0.01 * PSNR_MAX) ** 2
+    c2 = (0.03 * PSNR_MAX) ** 2
     w = SSIM_WINDOW
     if a.shape[0] < w or a.shape[1] < w:
         raise ValueError(
@@ -125,7 +102,9 @@ def ssim(hr: Image, sr: Image, mode: str = "windowed",
     var1 = m11 - mu1 * mu1
     var2 = m22 - mu2 * mu2
     cov = m12 - mu1 * mu2
-    return float(_ssim_formula(mu1, mu2, var1, var2, cov, c1, c2).mean())
+    ssim_map = (((2.0 * mu1 * mu2 + c1) * (2.0 * cov + c2))
+                / ((mu1 * mu1 + mu2 * mu2 + c1) * (var1 + var2 + c2)))
+    return float(ssim_map.mean())
 
 
 def metric_report(hr: Image, sr: Image) -> MetricReport:

@@ -256,6 +256,26 @@ def generator_from_checkpoint(ckpt: Checkpoint) -> tuple[Generator,
     return gen, config
 
 
+def _update(model, loss: Tensor, state: AdamState, config: TrainConfig,
+            step: int) -> None:
+    """One optimizer step of ``model`` on ``loss``: zero its gradients,
+    backward, clip, Adam. A non-finite gradient norm stops the run before
+    any parameter changes, naming the step and the first parameter (in
+    sorted-name order) whose gradient is not finite."""
+    model.zero_grad()
+    T.backward(loss)
+    params = model.parameters()
+    norm = clip_grad_norm(params, config.grad_clip)
+    if not np.isfinite(norm):
+        bad = [p.name for p in params
+               if p.grad is not None and not np.isfinite(p.grad).all()]
+        where = f"; first non-finite gradient: {bad[0]}" if bad else ""
+        raise ValueError(f"step {step}: non-finite gradient norm "
+                         f"{norm}{where}")
+    adam_step(params, state, config.lr, config.beta1, config.beta2,
+              config.eps)
+
+
 # ---------------------------------------------------------------------------
 # stage 1
 # ---------------------------------------------------------------------------
@@ -285,17 +305,12 @@ def train_stage1(manifest: DatasetManifest, config: TrainConfig,
         sr_fake = gen(lr_t)
 
         if config.adv_enabled:
-            dspre.zero_grad()
             d_loss = losses.l_adversarial_d(dspre(hr_t),
                                             dspre(sr_fake.detach()))
-            T.backward(d_loss)
-            clip_grad_norm(dspre.parameters(), config.grad_clip)
-            adam_step(dspre.parameters(), d_state, config.lr, config.beta1,
-                      config.beta2, config.eps)
+            _update(dspre, d_loss, d_state, config, step)
             lb.spre = -d_loss.item()
             lb.total_d = d_loss.item()
 
-        gen.zero_grad()
         mae = losses.l_mae(sr_fake, hr_t)
         adv_g = None
         if config.adv_enabled:
@@ -303,10 +318,7 @@ def train_stage1(manifest: DatasetManifest, config: TrainConfig,
             lb.adv_g = adv_g.item()
         g_loss = losses.combine_g(mae, None, adv_g, config.weights(),
                                   config.adv_enabled)
-        T.backward(g_loss)
-        clip_grad_norm(gen.parameters(), config.grad_clip)
-        adam_step(gen.parameters(), g_state, config.lr, config.beta1,
-                  config.beta2, config.eps)
+        _update(gen, g_loss, g_state, config, step)
         lb.mae = mae.item()
         lb.total_g = g_loss.item()
         log.add(step, lb)
@@ -391,24 +403,18 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
 
         # discriminator step: maximize real/fake separation and the
         # texture-prior distance
-        dtrans.zero_grad()
         real_logit, _ = dtrans(hr_t)
         fake_logit, _ = dtrans(sr_det)
         spre_ll = T.scale(losses.l_adversarial_d(real_logit, fake_logit),
                           -1.0)
         trans = losses.l_trans(sr_det, hr_t, dtrans, config.trans_mode)
         d_loss = losses.combine_d(spre_ll, trans, weights)
-        T.backward(d_loss)
-        clip_grad_norm(dtrans.parameters(), config.grad_clip)
-        adam_step(dtrans.parameters(), d_state, config.lr, config.beta1,
-                  config.beta2, config.eps)
+        _update(dtrans, d_loss, d_state, config, step)
         lb.spre = spre_ll.item()
         lb.trans = trans.item()
         lb.total_d = d_loss.item()
 
         # generator step
-        gen.zero_grad()
-        dtrans.zero_grad()
         mae = losses.l_mae(sr_vis, hr_t)
         noise_l = losses.l_noise(fe(sr_vis), noise_feats, w_k)
         adv_g = None
@@ -418,10 +424,7 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
             lb.adv_g = adv_g.item()
         g_loss = losses.combine_g(mae, noise_l, adv_g, weights,
                                   config.adv_enabled)
-        T.backward(g_loss)
-        clip_grad_norm(gen.parameters(), config.grad_clip)
-        adam_step(gen.parameters(), g_state, config.lr, config.beta1,
-                  config.beta2, config.eps)
+        _update(gen, g_loss, g_state, config, step)
         lb.mae = mae.item()
         lb.noise = noise_l.item()
         lb.total_g = g_loss.item()
@@ -429,12 +432,8 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
         # optional IR replay round: one plain MAE step on IR pairs
         if config.ir_replay:
             lr_ir_t, hr_ir_t = _batch(samples, rng, config, use_vis=False)
-            gen.zero_grad()
             replay = losses.l_mae(gen(lr_ir_t), hr_ir_t)
-            T.backward(replay)
-            clip_grad_norm(gen.parameters(), config.grad_clip)
-            adam_step(gen.parameters(), g_state, config.lr, config.beta1,
-                      config.beta2, config.eps)
+            _update(gen, replay, g_state, config, step)
 
         log.add(step, lb)
 

@@ -8,6 +8,7 @@ level, so identical pixel data always produces identical bytes.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -132,14 +133,19 @@ def read_png(path: str) -> np.ndarray:
     if width is None:
         raise ImageFormatError(f"{path}: missing IHDR")
     channels = 1 if color_type == 0 else 3
+    expected = height * (width * channels + 1)
+    # inflate at most one byte past what the IHDR promises, so a stream
+    # that inflates to far more is rejected without allocating it
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = inflater.decompress(bytes(idat), min(expected + 1, sys.maxsize))
     except zlib.error as exc:
         raise ImageFormatError(f"{path}: corrupt IDAT stream: {exc}") from exc
-    expected = height * (width * channels + 1)
     if len(raw) != expected:
         raise ImageFormatError(
             f"{path}: PNG payload size {len(raw)} != expected {expected}")
+    if not inflater.eof:
+        raise ImageFormatError(f"{path}: truncated IDAT stream")
     return _unfilter(raw, height, width, channels)
 
 

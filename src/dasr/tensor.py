@@ -6,6 +6,13 @@ affine maps, reductions) builds a backward graph of closures, and
 ``backward`` walks it in reverse topological order. Graphs are rebuilt every
 training step.
 
+A node's closure takes the gradient of its output and returns a sequence
+with one gradient per input (its ``_prev``), ``None`` for an input it did
+not compute one for. ``backward`` alone sums them: the gradients it has yet
+to pass on live in a dict local to the call, each is dropped as soon as its
+node's closure has run, and only leaves (tensors without a closure) get a
+``.grad``. ``backward`` holds no module state.
+
 Graphs are acyclic: a node refers to its inputs, never to its outputs or to
 a container the caller keeps growing, so reference counting frees a graph,
 with the window matrices its convolutions keep, as soon as its last output
@@ -26,17 +33,18 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+# a node's closure: output gradient -> one gradient (or None) per input
+Backward = Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]
 
 # Forward dtype for newly built tensors. grad_check flips this to float64 for
 # its finite-difference evaluations so the divided differences are not
 # drowned by float32 quantization; everything else always runs float32.
 _ACTIVE_DTYPE = np.float32
-
-# walk-local gradient accumulator; a backward() in flight owns it
-_WALK: Optional[dict] = None
 
 # False inside no_grad(): ops then record no graph
 _GRAD_ENABLED = True
@@ -81,7 +89,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._prev: tuple = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._backward: Optional[Backward] = None
         self._op = ""
         # reductions keep their float64 accumulation here so finite-difference
         # checks are not limited by the float32 rounding of the scalar
@@ -106,23 +114,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add a gradient contribution (within a backward walk, into its
-        local accumulator, so repeated walks over one graph add up exactly
-        once per walk)."""
-        if _WALK is not None:
-            key = id(self)
-            entry = _WALK.get(key)
-            if entry is None:
-                _WALK[key] = [self, g.astype(np.float32, copy=True)]
-            else:
-                entry[1] += g
-            return
-        if self.grad is None:
-            self.grad = g.astype(np.float32, copy=True)
-        else:
-            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op or 'leaf'})"
@@ -167,10 +158,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g)
+        return g, g
 
     return _make(a.data + b.data, (a, b), backward, "add")
 
@@ -179,10 +167,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(-g)
+        return g, -g
 
     return _make(a.data - b.data, (a, b), backward, "sub")
 
@@ -191,10 +176,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
+        return g * b.data, g * a.data
 
     return _make(a.data * b.data, (a, b), backward, "mul")
 
@@ -203,8 +185,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * np.float32(s))
+        return (g * np.float32(s),)
 
     return _make(a.data * np.float32(s), (a,), backward, "scale")
 
@@ -217,8 +198,7 @@ def leaky_relu(x: Tensor, slope: float) -> Tensor:
     out_data = np.where(pos, x.data, x.data * np.float32(slope))
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.where(pos, g, g * np.float32(slope)))
+        return (np.where(pos, g, g * np.float32(slope)),)
 
     return _make(out_data, (x,), backward, "leaky_relu")
 
@@ -228,10 +208,9 @@ def softplus(x: Tensor) -> Tensor:
     out_data = np.logaddexp(np.float32(0.0), x.data)
 
     def backward(g):
-        if x.requires_grad:
-            e = np.exp(-np.abs(x.data))
-            sig = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-            x.accumulate_grad(g * sig.astype(np.float32))
+        e = np.exp(-np.abs(x.data))
+        sig = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return (g * sig.astype(np.float32),)
 
     return _make(out_data, (x,), backward, "softplus")
 
@@ -241,8 +220,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     orig = x.shape
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(orig))
+        return (g.reshape(orig),)
 
     return _make(x.data.reshape(shape), (x,), backward, "reshape")
 
@@ -263,15 +241,15 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 raise ValueError(
                     f"concat: extent mismatch on axis {d}: {ea} vs {eb}"
                 )
-    extents = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + extents)
+    # each input's index into the output, built once with Python ints
+    # (np.cumsum and np.split cost several times as much per call)
+    offsets = list(itertools.accumulate((t.shape[axis] for t in tensors),
+                                        initial=0))
+    lead = (slice(None),) * (axis % len(ref))
+    spans = [lead + (slice(lo, hi),) for lo, hi in zip(offsets, offsets[1:])]
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate_grad(g[tuple(idx)])
+        return [g[s] for s in spans]
 
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     return _make(out_data, tensors, backward, "concat")
@@ -285,8 +263,7 @@ def sum_all(x: Tensor) -> Tensor:
     acc = float(np.sum(x.data, dtype=np.float64))
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(g, x.shape).astype(np.float32))
+        return (np.broadcast_to(g, x.shape).astype(np.float32),)
 
     out = _make(_ACTIVE_DTYPE(acc), (x,), backward, "sum")
     out.hires = acc
@@ -298,8 +275,7 @@ def mean(x: Tensor) -> Tensor:
     acc = float(np.sum(x.data, dtype=np.float64) / n)
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.full(x.shape, g / n, dtype=np.float32))
+        return (np.full(x.shape, g / n, dtype=np.float32),)
 
     out = _make(_ACTIVE_DTYPE(acc), (x,), backward, "mean")
     out.hires = acc
@@ -316,10 +292,7 @@ def reduce_mean_abs_diff(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         gd = sign * np.float32(g / n)
-        if a.requires_grad:
-            a.accumulate_grad(gd)
-        if b.requires_grad:
-            b.accumulate_grad(-gd)
+        return gd, -gd
 
     out = _make(_ACTIVE_DTYPE(acc), (a, b), backward, "mean_abs_diff")
     out.hires = acc
@@ -434,10 +407,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         cols = None  # nothing will need the window matrix
 
     def backward(g):
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
+        dx = dw = None
         if w.requires_grad:
-            w.accumulate_grad(_corr2d_filter_grad(cols, g, cin, kh, kw))
+            dw = _corr2d_filter_grad(cols, g, cin, kh, kw)
         if x.requires_grad:
             # dilate the output grad by the stride, then full-correlate with
             # the spatially flipped, channel-swapped kernel (float64
@@ -458,8 +430,8 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
                 full = np.zeros((n, cin, hp, wp), dtype=np.float32)
                 full[:, :, :dxp.shape[2], :dxp.shape[3]] = dxp
                 dxp = full
-            x.accumulate_grad(dxp[:, :, padding:padding + h,
-                                  padding:padding + wd])
+            dx = dxp[:, :, padding:padding + h, padding:padding + wd]
+        return (dx, dw) if b is None else (dx, dw, g.sum(axis=(0, 2, 3)))
 
     return _make(out_data, parents, backward, "conv2d")
 
@@ -485,15 +457,14 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
     def backward(g):
         g64 = g.astype(np.float64)
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0, dtype=np.float64)
-                              .astype(np.float32))
+        dx = dw = None
         if w.requires_grad:
-            w.accumulate_grad((g64.T @ x.data.astype(np.float64))
-                              .astype(np.float32))
+            dw = (g64.T @ x.data.astype(np.float64)).astype(np.float32)
         if x.requires_grad:
-            x.accumulate_grad((g64 @ w.data.astype(np.float64))
-                              .astype(np.float32))
+            dx = (g64 @ w.data.astype(np.float64)).astype(np.float32)
+        if b is None:
+            return dx, dw
+        return dx, dw, g.sum(axis=0, dtype=np.float64).astype(np.float32)
 
     return _make(out_data, parents, backward, "linear")
 
@@ -510,11 +481,10 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
                 .reshape(n, c, h * r, wd * r))
 
     def backward(g):
-        if x.requires_grad:
-            gi = (g.reshape(n, c, h, r, wd, r)
-                  .transpose(0, 1, 3, 5, 2, 4)
-                  .reshape(n, c_r2, h, wd))
-            x.accumulate_grad(np.ascontiguousarray(gi))
+        gi = (g.reshape(n, c, h, r, wd, r)
+              .transpose(0, 1, 3, 5, 2, 4)
+              .reshape(n, c_r2, h, wd))
+        return (np.ascontiguousarray(gi),)
 
     return _make(np.ascontiguousarray(out_data), (x,), backward,
                  "pixel_shuffle")
@@ -525,18 +495,15 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad of every tracked tensor reachable from ``loss``.
+    """Add d(loss)/d(leaf) into the .grad of every tracked leaf reachable
+    from ``loss``; interior nodes get no .grad.
 
-    Each call runs one independent reverse pass and adds its result into
-    the .grad buffers, so repeated calls on the same graph accumulate
-    (backward twice without a reset doubles every gradient). Single-threaded.
+    Repeated calls on the same graph accumulate (backward twice without a
+    reset doubles every gradient).
     """
-    global _WALK
     if loss.size != 1:
         raise ValueError(
             f"backward: loss must be scalar, got shape {loss.shape}")
-    if _WALK is not None:
-        raise RuntimeError("backward: nested backward calls are unsupported")
     # iterative reverse topological order (graphs can be deeper than the
     # Python recursion limit)
     topo: list[Tensor] = []
@@ -555,21 +522,27 @@ def backward(loss: Tensor) -> None:
             if id(p) not in visited and p.requires_grad:
                 stack.append((p, False))
 
-    _WALK = {}
-    try:
-        _WALK[id(loss)] = [loss, np.ones_like(loss.data, dtype=np.float32)]
-        for node in reversed(topo):
-            entry = _WALK.get(id(node))
-            if entry is not None and node._backward is not None:
-                node._backward(entry[1])
-        contributions = list(_WALK.values())
-    finally:
-        _WALK = None
-    for t, g in contributions:
-        if t.grad is None:
-            t.grad = g
-        else:
-            t.grad += g
+    # gradients not yet passed on, by node id; popped when the walk
+    # reaches the node, so no interior gradient outlives its use
+    pending = {id(loss): np.ones_like(loss.data, dtype=np.float32)}
+    for node in reversed(topo):
+        g = pending.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward is None:
+            if node.grad is None:
+                node.grad = g
+            else:
+                node.grad += g
+            continue
+        for p, pg in zip(node._prev, node._backward(g)):
+            if pg is None or not p.requires_grad:
+                continue
+            acc = pending.get(id(p))
+            if acc is None:
+                pending[id(p)] = pg.astype(np.float32, copy=True)
+            else:
+                acc += pg
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,

@@ -290,6 +290,28 @@ class TestTrain:
         assert code == 1
         assert "batch must be int, got str" in capsys.readouterr().err
 
+    def test_non_finite_gradient_stops_the_run(self, dataset_dir, tmp_path,
+                                               capsys, monkeypatch):
+        from dasr import pipeline, tensor as T
+        real_mae = pipeline.losses.l_mae
+        calls = []
+
+        def mae_nan_from_step_2(pred, target):
+            calls.append(None)
+            loss = real_mae(pred, target)
+            return T.scale(loss, float("nan")) if len(calls) > 2 else loss
+
+        monkeypatch.setattr(pipeline.losses, "l_mae", mae_nan_from_step_2)
+        ckpt = tmp_path / "nan.dasr"
+        code = run(["train", "--stage", "1", "--data", dataset_dir,
+                    "--steps", "4", "--lr-crop", "12", "--batch", "1",
+                    "--adv", "off", "--ckpt-out", str(ckpt)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "step 2" in err
+        assert "conv_first.bias" in err  # first trainable name, sorted
+        assert not ckpt.exists()
+
     def test_config_file_int_for_float_field_accepted(self, dataset_dir,
                                                       tmp_path):
         from dasr.checkpoint import load_checkpoint

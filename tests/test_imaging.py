@@ -1,6 +1,9 @@
 """Image I/O, degradation operators, and the Sobel magnitude map."""
 
 import os
+import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -87,6 +90,45 @@ class TestIO:
         save_image(Image(np.zeros((4, 4, 1))), str(p))
         ihdr = p.read_bytes()[8:8 + 25]
         p.write_bytes(_PNG_SIG + ihdr + _chunk(b"IDAT", b"not zlib")
+                      + _chunk(b"IEND", b""))
+        with pytest.raises(ImageFormatError, match="IDAT"):
+            load_image(str(p))
+
+    def test_png_idat_bomb_rejected_without_inflating_it(self, tmp_path):
+        # a 4x4 image whose IDAT inflates to 200 MB
+        p = tmp_path / "bomb.png"
+        save_image(Image(np.zeros((4, 4, 1))), str(p))
+        ihdr = p.read_bytes()[8:8 + 25]
+        deflate = zlib.compressobj(9)
+        zeros = bytes(2 ** 20)
+        idat = b"".join(deflate.compress(zeros) for _ in range(200))
+        p.write_bytes(_PNG_SIG + ihdr + _chunk(b"IDAT", idat + deflate.flush())
+                      + _chunk(b"IEND", b""))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImageFormatError, match="payload size"):
+                load_image(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    def test_png_huge_ihdr_is_format_error(self, tmp_path):
+        # its expected payload size is past the largest inflate limit
+        p = tmp_path / "huge.png"
+        ihdr = struct.pack(">IIBBBBB", 2 ** 32 - 1, 2 ** 32 - 1, 8, 2, 0, 0, 0)
+        p.write_bytes(_PNG_SIG + _chunk(b"IHDR", ihdr)
+                      + _chunk(b"IDAT", zlib.compress(bytes(16)))
+                      + _chunk(b"IEND", b""))
+        with pytest.raises(ImageFormatError, match="payload size"):
+            load_image(str(p))
+
+    def test_png_idat_without_stream_end_is_format_error(self, tmp_path):
+        p = tmp_path / "cut.png"
+        save_image(Image(np.zeros((4, 4, 1))), str(p))
+        ihdr = p.read_bytes()[8:8 + 25]
+        idat = zlib.compress(bytes(4 * (4 + 1)))[:-4]  # no Adler-32 trailer
+        p.write_bytes(_PNG_SIG + ihdr + _chunk(b"IDAT", idat)
                       + _chunk(b"IEND", b""))
         with pytest.raises(ImageFormatError, match="IDAT"):
             load_image(str(p))

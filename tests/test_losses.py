@@ -78,12 +78,6 @@ class TestAdversarialG:
         T.backward(l_adversarial_g(fake))
         assert fake.grad[0, 0] == pytest.approx(-0.5, abs=1e-6)
 
-    def test_saturating_mode_is_literal_minimax_term(self):
-        fake = Tensor(np.zeros((1, 1)))
-        # log(1 - sigmoid(0)) = -ln 2
-        assert l_adversarial_g(fake, saturating=True).item() == \
-            pytest.approx(-np.log(2.0), abs=1e-6)
-
 
 def _sobel_mean_abs_oracle(a, b):
     """Compose the image-space Sobel oracle with a scalar mean-abs loop."""

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -204,6 +205,16 @@ class TestCheckpointFormat:
         blob = bytearray(checkpoint_bytes(ck))
         p = tmp_path / "short.dasr"
         p.write_bytes(bytes(blob[:-8]))  # drop two floats of payload
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(str(p))
+
+    def test_dims_product_past_int64_is_truncation(self, tmp_path):
+        # 65536**4 == 2**64, which an int64 product wraps to 0
+        blob = (checkpoint_bytes(Checkpoint(stage="stage1", config={}))
+                + struct.pack("<H", 1) + b"w" + struct.pack("<B", 4)
+                + struct.pack("<4I", *(65536,) * 4))
+        p = tmp_path / "huge.dasr"
+        p.write_bytes(blob)
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(p))
 

@@ -1,6 +1,7 @@
 """Tensor engine: op semantics, oracles, and gradient checks."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,8 +284,7 @@ class TestGradCheck:
             acc = float(np.sum(x.data, dtype=np.float64))
 
             def bad_backward(g):
-                x.accumulate_grad(
-                    2.0 * np.broadcast_to(g, x.shape).astype(np.float32))
+                return (2.0 * np.broadcast_to(g, x.shape).astype(np.float32),)
 
             out = T._make(T._ACTIVE_DTYPE(acc), (x,), bad_backward, "bad")
             out.hires = acc
@@ -391,3 +391,20 @@ class TestGraphLifetime:
         finally:
             gc.enable()
         assert gen.parameters()[0].grad is not None
+
+    def test_backward_frees_interior_gradients_as_it_goes(self):
+        # 20 interior 4 MB gradients would peak near 84 MB if kept
+        x = Tensor(np.ones(10 ** 6, dtype=np.float32), requires_grad=True)
+        chain = [x]
+        for _ in range(20):
+            chain.append(T.scale(chain[-1], 1.0))
+        loss = T.sum_all(chain[-1])
+        tracemalloc.start()
+        try:
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        assert np.array_equal(x.grad, np.ones(10 ** 6, dtype=np.float32))
+        assert all(t.grad is None for t in chain[1:] + [loss])
