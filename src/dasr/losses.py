@@ -3,8 +3,10 @@ prior loss over Sobel magnitudes, and the noise repulsion loss.
 
 Sign conventions, in terms of what each optimizer minimizes:
 
-  * generator total  =  mae + alpha * noise (+ adv_g when enabled)
-  * discriminator total = -(spre + beta * trans), where ``spre`` is the
+  * generator total ``combine_g(mae, noise, adv_g, alpha)`` =
+    mae + alpha * noise (+ adv_g when one is given)
+  * discriminator total ``combine_d(spre, trans, beta)`` =
+    -(spre + beta * trans), where ``spre`` is the
     log-likelihood the discriminator maximizes (the negative of
     ``l_adversarial_d``), so minimizing the total maximizes both the
     real/fake separation and the texture-prior distance.
@@ -23,23 +25,6 @@ from .tensor import Tensor
 
 TRANS_MODES = ("raw-sobel", "prior-branch")
 
-LOG_COLUMNS = ("step", "mae", "adv_g", "noise", "trans", "spre",
-               "total_g", "total_d")
-
-
-@dataclass
-class LossWeights:
-    """alpha scales the noise loss, beta the texture prior loss."""
-
-    alpha: float = 0.1
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError(
-                f"loss weights must be >= 0, got alpha={self.alpha} "
-                f"beta={self.beta}")
-
 
 @dataclass
 class LossBreakdown:
@@ -57,9 +42,9 @@ class LossBreakdown:
         vals = [f"{getattr(self, f.name):.6f}" for f in fields(self)]
         return ",".join([str(step)] + vals)
 
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(LOG_COLUMNS)
+    @classmethod
+    def csv_header(cls) -> str:
+        return ",".join(["step"] + [f.name for f in fields(cls)])
 
 
 def l_mae(pred: Tensor, target: Tensor) -> Tensor:
@@ -180,20 +165,17 @@ def l_noise(pred_features: Sequence[Tensor], noise_features: Sequence[Tensor],
 
 
 def combine_g(mae: Tensor, noise: Optional[Tensor], adv_g: Optional[Tensor],
-              weights: LossWeights, adv_enabled: bool) -> Tensor:
-    """Generator objective: mae + alpha * noise (+ adv_g when enabled)."""
+              alpha: float) -> Tensor:
+    """Generator objective: mae + alpha * noise (+ adv_g when given)."""
     total = mae
     if noise is not None:
-        total = T.add(total, T.scale(noise, weights.alpha))
-    if adv_enabled:
-        if adv_g is None:
-            raise ValueError("combine_g: adv_enabled but adv_g is None")
+        total = T.add(total, T.scale(noise, alpha))
+    if adv_g is not None:
         total = T.add(total, adv_g)
     return total
 
 
-def combine_d(spre: Tensor, trans: Optional[Tensor],
-              weights: LossWeights) -> Tensor:
+def combine_d(spre: Tensor, trans: Optional[Tensor], beta: float) -> Tensor:
     """Discriminator objective: -(spre + beta * trans).
 
     ``spre`` is the log-likelihood value the discriminator maximizes; the
@@ -201,5 +183,5 @@ def combine_d(spre: Tensor, trans: Optional[Tensor],
     """
     inner = spre
     if trans is not None:
-        inner = T.add(inner, T.scale(trans, weights.beta))
+        inner = T.add(inner, T.scale(trans, beta))
     return T.scale(inner, -1.0)

@@ -7,6 +7,7 @@ small ones per parameter.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -17,49 +18,35 @@ from .tensor import Parameter
 class AdamState:
     """Flat first/second-moment slabs plus a step counter.
 
-    The slab layout is built from the first parameter list seen and reused
-    while the names match; a parameter reappearing with a new shape is an
-    error (moment buffers must shape-match their parameter).
+    The slab layout is planned from the first parameter list seen; a later
+    list with other names or shapes is an error (moment buffers must
+    shape-match their parameters).
     """
 
     def __init__(self):
         self.step_count: int = 0
-        self._names: list[str] | None = None
-        self._shapes: dict[str, tuple] = {}
+        self._layout: list[tuple[str, tuple]] | None = None
         self._slices: list[tuple[int, int]] = []
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
         self._g: np.ndarray | None = None
 
     def _plan(self, params: Sequence[Parameter]) -> None:
-        names = [p.name for p in params]
-        for p in params:
-            known = self._shapes.get(p.name)
-            if known is not None and known != p.shape:
-                raise ValueError(
-                    f"adam: moment buffer shape {known} does not match "
-                    f"parameter {p.name} shape {p.shape}")
-        if self._names == names:
-            return
-        old = {}
-        if self._names is not None:
-            for name, (ofs, n) in zip(self._names, self._slices):
-                old[name] = (self._m[ofs:ofs + n].copy(),
-                             self._v[ofs:ofs + n].copy())
-        total = sum(p.size for p in params)
-        self._m = np.zeros(total, dtype=np.float32)
-        self._v = np.zeros(total, dtype=np.float32)
-        self._g = np.empty(total, dtype=np.float32)
-        self._slices = []
-        ofs = 0
-        for p in params:
-            self._slices.append((ofs, p.size))
-            if p.name in old:
-                self._m[ofs:ofs + p.size] = old[p.name][0]
-                self._v[ofs:ofs + p.size] = old[p.name][1]
-            self._shapes[p.name] = p.shape
-            ofs += p.size
-        self._names = names
+        layout = [(p.name, p.shape) for p in params]
+        if self._layout is None:
+            ofs = 0
+            for p in params:
+                self._slices.append((ofs, p.size))
+                ofs += p.size
+            self._m = np.zeros(ofs, dtype=np.float32)
+            self._v = np.zeros(ofs, dtype=np.float32)
+            self._g = np.empty(ofs, dtype=np.float32)
+            self._layout = layout
+        elif layout != self._layout:
+            new, old = next((a, b) for a, b in zip_longest(
+                layout, self._layout) if a != b)
+            raise ValueError(f"adam: parameter (name, shape) {new} does not "
+                             f"match moment buffer entry {old}")
 
 
 def adam_step(params: Sequence[Parameter], state: AdamState, lr: float,

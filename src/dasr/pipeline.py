@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import losses, tensor as T
 from .checkpoint import Checkpoint, atomic_write
 from .imaging import (Image, add_gaussian_noise, bicubic_resize,
                       random_paired_crop, save_image, to_luma)
-from .losses import LossBreakdown, LossWeights
+from .losses import LossBreakdown
 from .metrics import BenchRow, evaluate_set
 from .models import (DiscSpre, DiscTrans, FeatureExtractor, Generator,
                      PRIOR_DEPTHS, desk_generator_config,
@@ -108,13 +108,19 @@ class TrainConfig:
                                  f"got {value!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
+        for name, ok, rule in (
+                ("lr", self.lr > 0, "> 0"),
+                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("eps", self.eps > 0, "> 0"),
+                ("noise_sigma", self.noise_sigma >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, "
+                                 f"got {getattr(self, name)}")
         if self.batch < 1 or self.lr_crop < 1:
             raise ValueError("batch and lr_crop must be >= 1")
         if self.steps_stage1 < 0 or self.steps_stage2 < 0:
             raise ValueError("step counts must be >= 0")
-
-    def weights(self) -> LossWeights:
-        return LossWeights(alpha=self.alpha, beta=self.beta)
 
     def hr_crop(self) -> int:
         return self.scale * self.lr_crop
@@ -217,22 +223,6 @@ def _batch(samples: list[_Sample], rng: np.random.Generator,
     return _to_nchw(lr_list), _to_nchw(hr_list)
 
 
-class _LossLog:
-    def __init__(self, path: Optional[str]):
-        self.path = path
-        self.rows: list[str] = [LossBreakdown.csv_header()]
-        self.last: Optional[LossBreakdown] = None
-
-    def add(self, step: int, lb: LossBreakdown) -> None:
-        self.rows.append(lb.csv_row(step))
-        self.last = lb
-
-    def flush(self) -> None:
-        if self.path:
-            atomic_write(self.path,
-                         ("\n".join(self.rows) + "\n").encode("utf-8"))
-
-
 def _checkpoint(stage: str, config: TrainConfig, gen: Generator,
                 disc=None, disc_prefix: str = "") -> Checkpoint:
     tensors = {f"gen.{k}": v.copy() for k, v in gen.named_tensors()}
@@ -276,6 +266,28 @@ def _update(model, loss: Tensor, state: AdamState, config: TrainConfig,
               config.eps)
 
 
+def _train(stage: str, manifest: DatasetManifest, config: TrainConfig,
+           steps: int, log_path: Optional[str],
+           step_fn: Callable[[list[_Sample], np.random.Generator, int],
+                             LossBreakdown]) -> None:
+    """The run loop of both stages: check the manifest scale, load the
+    samples (stage 2 needs a visible image in every pair), seed the batch
+    RNG from ``"<stage>.batches"``, call ``step_fn(samples, rng, step)`` for
+    each step and write the per-step loss CSV once at the end. A step's
+    graphs live only in ``step_fn``'s locals, so they are freed when it
+    returns."""
+    if manifest.scale != config.scale:
+        raise ValueError(f"manifest scale {manifest.scale} != config scale "
+                         f"{config.scale}")
+    samples = _load_samples(manifest, need_vis=stage == "stage2")
+    rng = generator(config.seed, f"{stage}.batches")
+    rows = [LossBreakdown.csv_header()]
+    for step in range(steps):
+        rows.append(step_fn(samples, rng, step).csv_row(step))
+    if log_path:
+        atomic_write(log_path, ("\n".join(rows) + "\n").encode("utf-8"))
+
+
 # ---------------------------------------------------------------------------
 # stage 1
 # ---------------------------------------------------------------------------
@@ -288,17 +300,11 @@ def train_stage1(manifest: DatasetManifest, config: TrainConfig,
     minimizes pixel MAE (plus the adversarial term when enabled). With the
     adversarial path disabled the discriminator is left untouched.
     """
-    if manifest.scale != config.scale:
-        raise ValueError(f"manifest scale {manifest.scale} != config scale "
-                         f"{config.scale}")
-    samples = _load_samples(manifest, need_vis=False)
     gen = build_generator(config)
     dspre = build_disc_spre(config)
     g_state, d_state = AdamState(), AdamState()
-    rng = generator(config.seed, "stage1.batches")
-    log = _LossLog(log_path)
 
-    for step in range(config.steps_stage1):
+    def step(samples, rng, i) -> LossBreakdown:
         lr_t, hr_t = _batch(samples, rng, config, use_vis=False)
         lb = LossBreakdown()
 
@@ -307,7 +313,7 @@ def train_stage1(manifest: DatasetManifest, config: TrainConfig,
         if config.adv_enabled:
             d_loss = losses.l_adversarial_d(dspre(hr_t),
                                             dspre(sr_fake.detach()))
-            _update(dspre, d_loss, d_state, config, step)
+            _update(dspre, d_loss, d_state, config, i)
             lb.spre = -d_loss.item()
             lb.total_d = d_loss.item()
 
@@ -316,14 +322,13 @@ def train_stage1(manifest: DatasetManifest, config: TrainConfig,
         if config.adv_enabled:
             adv_g = losses.l_adversarial_g(dspre(sr_fake))
             lb.adv_g = adv_g.item()
-        g_loss = losses.combine_g(mae, None, adv_g, config.weights(),
-                                  config.adv_enabled)
-        _update(gen, g_loss, g_state, config, step)
+        g_loss = losses.combine_g(mae, None, adv_g, config.alpha)
+        _update(gen, g_loss, g_state, config, i)
         lb.mae = mae.item()
         lb.total_g = g_loss.item()
-        log.add(step, lb)
+        return lb
 
-    log.flush()
+    _train("stage1", manifest, config, config.steps_stage1, log_path, step)
     return _checkpoint("stage1", config, gen, dspre, "dspre")
 
 
@@ -353,11 +358,6 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
     if stage1_ckpt.stage != "stage1":
         raise ValueError("stage2 requires a stage1 checkpoint, got "
                          f"{stage1_ckpt.stage!r}")
-    if manifest.scale != config.scale:
-        raise ValueError(f"manifest scale {manifest.scale} != config scale "
-                         f"{config.scale}")
-    samples = _load_samples(manifest, need_vis=True)
-
     gen = build_generator(config)
     _load_model_tensors(gen, stage1_ckpt, "gen")
     dtrans = build_disc_trans(config)
@@ -374,14 +374,10 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
             p.data = arr.astype(np.float32).copy()
     fe = build_feature_extractor(config)
     w_k = noise_feature_weights(config, fe)
-    weights = config.weights()
-
     g_state, d_state = AdamState(), AdamState()
-    rng = generator(config.seed, "stage2.batches")
-    log = _LossLog(log_path)
     hr_size = (config.hr_crop(), config.hr_crop())
 
-    for step in range(config.steps_stage2):
+    def step(samples, rng, i) -> LossBreakdown:
         lr_vis_t, hr_t = _batch(samples, rng, config, use_vis=True)
         noise_seed = int(rng.integers(0, 2 ** 62))
         lb = LossBreakdown()
@@ -408,8 +404,8 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
         spre_ll = T.scale(losses.l_adversarial_d(real_logit, fake_logit),
                           -1.0)
         trans = losses.l_trans(sr_det, hr_t, dtrans, config.trans_mode)
-        d_loss = losses.combine_d(spre_ll, trans, weights)
-        _update(dtrans, d_loss, d_state, config, step)
+        d_loss = losses.combine_d(spre_ll, trans, config.beta)
+        _update(dtrans, d_loss, d_state, config, i)
         lb.spre = spre_ll.item()
         lb.trans = trans.item()
         lb.total_d = d_loss.item()
@@ -422,9 +418,8 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
             fake2, _ = dtrans(sr_vis)
             adv_g = losses.l_adversarial_g(fake2)
             lb.adv_g = adv_g.item()
-        g_loss = losses.combine_g(mae, noise_l, adv_g, weights,
-                                  config.adv_enabled)
-        _update(gen, g_loss, g_state, config, step)
+        g_loss = losses.combine_g(mae, noise_l, adv_g, config.alpha)
+        _update(gen, g_loss, g_state, config, i)
         lb.mae = mae.item()
         lb.noise = noise_l.item()
         lb.total_g = g_loss.item()
@@ -433,11 +428,10 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
         if config.ir_replay:
             lr_ir_t, hr_ir_t = _batch(samples, rng, config, use_vis=False)
             replay = losses.l_mae(gen(lr_ir_t), hr_ir_t)
-            _update(gen, replay, g_state, config, step)
+            _update(gen, replay, g_state, config, i)
+        return lb
 
-        log.add(step, lb)
-
-    log.flush()
+    _train("stage2", manifest, config, config.steps_stage2, log_path, step)
     return _checkpoint("stage2", config, gen, dtrans, "dtrans")
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from dasr import tensor as T
 from dasr.imaging import Image, gaussian_blur, sobel_map
-from dasr.losses import (LossBreakdown, LossWeights, combine_d, combine_g,
+from dasr.losses import (LossBreakdown, combine_d, combine_g,
                          l_adversarial_d, l_adversarial_g, l_mae, l_noise,
                          l_trans, sobel_l1)
 from dasr.models import DiscTrans, FeatureExtractor, Generator, GeneratorConfig
@@ -184,32 +184,26 @@ class TestCombine:
     def test_generator_arithmetic(self):
         mae = Tensor(np.float32(0.2))
         noise = Tensor(np.float32(-0.5))
-        w = LossWeights(alpha=0.1, beta=1.0)
-        total = combine_g(mae, noise, None, w, adv_enabled=False)
+        total = combine_g(mae, noise, None, 0.1)
         assert total.item() == pytest.approx(0.15, abs=1e-7)
         adv = Tensor(np.float32(0.7))
-        total = combine_g(mae, noise, adv, w, adv_enabled=True)
+        total = combine_g(mae, noise, adv, 0.1)
         assert total.item() == pytest.approx(0.85, abs=1e-6)
-        # alpha 0 drops the noise term
-        total = combine_g(mae, noise, None, LossWeights(alpha=0.0),
-                          adv_enabled=False)
-        assert total.item() == pytest.approx(0.2, abs=1e-7)
+        # alpha 0 drops the noise term; no noise tensor at all (stage 1)
+        assert combine_g(mae, noise, None, 0.0).item() == \
+            pytest.approx(0.2, abs=1e-7)
+        assert combine_g(mae, None, adv, 0.1).item() == \
+            pytest.approx(0.9, abs=1e-6)
 
     def test_discriminator_arithmetic(self):
         spre = Tensor(np.float32(1.0))
         trans = Tensor(np.float32(0.5))
-        assert combine_d(spre, trans, LossWeights(beta=1.0)).item() == \
+        assert combine_d(spre, trans, 1.0).item() == \
             pytest.approx(-1.5, abs=1e-6)
-        assert combine_d(spre, trans, LossWeights(beta=0.0)).item() == \
+        assert combine_d(spre, trans, 0.0).item() == \
             pytest.approx(-1.0, abs=1e-6)
-
-    def test_default_weights_are_point_one_and_one(self):
-        w = LossWeights()
-        assert (w.alpha, w.beta) == (0.1, 1.0)
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(alpha=-0.1)
+        assert combine_d(spre, None, 1.0).item() == \
+            pytest.approx(-1.0, abs=1e-6)
 
     def test_breakdown_csv_row_layout(self):
         lb = LossBreakdown(mae=0.5)

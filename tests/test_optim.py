@@ -72,6 +72,19 @@ def test_moment_buffer_shape_guard():
         adam_step([q], state, lr=0.1)
 
 
+def test_moment_buffer_layout_is_fixed():
+    state = AdamState()
+    p = Parameter(np.zeros(3), name="p")
+    p.grad = np.ones(3, dtype=np.float32)
+    adam_step([p], state, lr=0.1)
+    q = Parameter(np.zeros(2), name="q")
+    for params in ([p, q], [q]):
+        for t in params:
+            t.grad = np.ones(t.shape, dtype=np.float32)
+        with pytest.raises(ValueError, match="does not match"):
+            adam_step(params, state, lr=0.1)
+
+
 def test_clip_grad_norm():
     a = Parameter(np.zeros(3), name="a")
     b = Parameter(np.zeros(4), name="b")

@@ -5,11 +5,12 @@ import json
 import os
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from dasr import checkpoint
+from dasr import checkpoint, pipeline
 from dasr.checkpoint import (Checkpoint, CheckpointError, checkpoint_bytes,
                              load_checkpoint, save_checkpoint)
 from dasr.imaging import DegradationSpec, Image, save_image, sobel_map
@@ -166,6 +167,29 @@ class TestStage2:
             if name.startswith("dspre.main."):
                 tail = name[len("dspre."):]
                 assert np.array_equal(ck2.tensors[f"dtrans.{tail}"], data)
+
+
+class TestStepLifetime:
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_no_step_graph_outlives_its_step(self, dataset, stage1_ckpt,
+                                             monkeypatch, stage):
+        # every optimizer step sees the losses of earlier steps gone
+        refs, leaks = [], []
+        inner = pipeline._update
+
+        def spy(model, loss, state, config, step):
+            leaks.extend(s for s, r in refs if s < step and r() is not None)
+            refs.append((step, weakref.ref(loss.data)))
+            inner(model, loss, state, config, step)
+
+        monkeypatch.setattr(pipeline, "_update", spy)
+        config = small_config(steps_stage1=3, steps_stage2=3)
+        if stage == 1:
+            train_stage1(dataset, config)
+        else:
+            train_stage2(stage1_ckpt, dataset, config)
+        assert sorted({s for s, _ in refs}) == [0, 1, 2]
+        assert leaks == []
 
 
 class TestCheckpointFormat:
@@ -387,6 +411,22 @@ class TestManifestRoundTrip:
          "feature_weights must be None or a list of numbers, got list"),
     ])
     def test_config_value_types_checked(self, doc, msg):
+        with pytest.raises(ValueError, match=msg):
+            TrainConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("doc, msg", [
+        ({"lr": 0.0}, r"lr must be > 0, got 0\.0"),
+        ({"lr": -1e-3}, r"lr must be > 0"),
+        ({"beta1": 1.0}, r"beta1 must be in \[0, 1\), got 1\.0"),
+        ({"beta1": -0.1}, r"beta1 must be in \[0, 1\)"),
+        ({"beta2": 1.0}, r"beta2 must be in \[0, 1\), got 1\.0"),
+        ({"eps": 0.0}, r"eps must be > 0, got 0\.0"),
+        ({"noise_sigma": -1.0}, r"noise_sigma must be >= 0, got -1\.0"),
+        ({"alpha": -0.1}, r"alpha and beta must be >= 0"),
+    ], ids=["lr-zero", "lr-negative", "beta1-one", "beta1-negative",
+            "beta2-one", "eps-zero", "noise-sigma-negative",
+            "alpha-negative"])
+    def test_config_value_ranges_checked(self, doc, msg):
         with pytest.raises(ValueError, match=msg):
             TrainConfig.from_dict(doc)
 
