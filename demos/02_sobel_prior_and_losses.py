@@ -15,6 +15,7 @@ import numpy as np
 from dasr.imaging import gaussian_blur, sobel_map, to_luma
 from dasr.losses import l_noise, sobel_l1
 from dasr.models import FeatureExtractor
+from dasr.pipeline import TrainConfig, noise_feature_weights
 from dasr.synth import SyntheticSceneSpec, render_pair
 from dasr.tensor import Tensor
 
@@ -33,14 +34,15 @@ for sigma in (1.0, 3.0, 5.0):
     loss = sobel_l1(as_batch(luma), as_batch(gaussian_blur(luma, sigma)))
     print(f"  blur sigma {sigma}: {loss.item():.4f}")
 
-fe = FeatureExtractor(tap_depth="middle")
+fe = FeatureExtractor()
+w = noise_feature_weights(TrainConfig(prior_depth="middle"))  # one-hot
 feats = fe(as_batch(luma))
 print(f"\nfeature pyramid: {[tuple(f.shape) for f in feats]}")
-same = l_noise(feats, feats, fe.tap_weights())
+same = l_noise(feats, feats, w)
 rng = np.random.default_rng(0)
 noisy = np.clip(luma.array + rng.normal(0, 0.1, luma.array.shape), 0, 1)
 noisy_feats = fe(Tensor(noisy.transpose(2, 0, 1)[None]))
-diff = l_noise(feats, noisy_feats, fe.tap_weights())
+diff = l_noise(feats, noisy_feats, w)
 print(f"noise loss, identical features: {same.item():.4f}")
 print(f"noise loss, against a noisy view: {diff.item():.4f}  (negative: "
       "minimizing it repels the prediction from the noise pattern)")

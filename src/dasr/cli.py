@@ -22,8 +22,8 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .imaging import (DegradationSpec, Image, degrade, load_image,
                       save_image, sobel_map, to_luma)
-from .metrics import (BenchRow, bench_csv, bench_markdown, evaluate_set,
-                      metric_report)
+from .metrics import (BenchRow, MetricReport, bench_csv, bench_markdown,
+                      evaluate_set, mean_report, metric_report)
 from .pipeline import (TrainConfig, evaluate_checkpoint, train_stage1,
                        train_stage2)
 from .synth import DatasetManifest, SyntheticSceneSpec, make_synthetic_dataset
@@ -169,21 +169,19 @@ def cmd_metrics(args) -> int:
             + ", ".join([f"missing SR for {n}" for n in missing]
                         + [f"no HR for {n}" for n in extra]))
     print("name,psnr,mse,ssim")
-    psnrs, mses, ssims = [], [], []
+    reports = []
     for name in hr_names:
         hr = load_image(os.path.join(args.hr, name))
         sr = load_image(os.path.join(args.sr, name))
-        rep = metric_report(hr, sr)
-        p = "inf" if np.isinf(rep.psnr) else f"{rep.psnr:.4f}"
-        print(f"{name},{p},{rep.mse:.4f},{rep.ssim:.4f}")
-        if not np.isinf(rep.psnr):
-            psnrs.append(rep.psnr)
-        mses.append(rep.mse)
-        ssims.append(rep.ssim)
-    mean_p = "inf" if not psnrs else f"{float(np.mean(psnrs)):.4f}"
-    print(f"mean,{mean_p},{float(np.mean(mses)):.4f},"
-          f"{float(np.mean(ssims)):.4f}")
+        reports.append(metric_report(hr, sr))
+        _print_report(name, reports[-1])
+    _print_report("mean", mean_report(reports)[0])
     return 0
+
+
+def _print_report(name: str, rep: MetricReport) -> None:
+    p = "inf" if np.isinf(rep.psnr) else f"{rep.psnr:.4f}"
+    print(f"{name},{p},{rep.mse:.4f},{rep.ssim:.4f}")
 
 
 def cmd_sobel(args) -> int:

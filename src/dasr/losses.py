@@ -5,11 +5,12 @@ Sign conventions, in terms of what each optimizer minimizes:
 
   * generator total ``combine_g(mae, noise, adv_g, alpha)`` =
     mae + alpha * noise (+ adv_g when one is given)
-  * discriminator total ``combine_d(spre, trans, beta)`` =
-    -(spre + beta * trans), where ``spre`` is the
-    log-likelihood the discriminator maximizes (the negative of
-    ``l_adversarial_d``), so minimizing the total maximizes both the
-    real/fake separation and the texture-prior distance.
+  * discriminator total ``combine_d(adv_d, trans, beta)`` =
+    adv_d - beta * trans, where ``adv_d`` is ``l_adversarial_d``, the
+    real/fake cross-entropy, so minimizing the total maximizes both the
+    real/fake separation and the texture-prior distance. The loss log's
+    ``spre`` column is -adv_d, the log-likelihood the discriminator
+    maximizes.
 """
 
 from __future__ import annotations
@@ -120,9 +121,8 @@ def sobel_l1(pred: Tensor, target: Tensor) -> Tensor:
         gt = grad_of(*saved["t"], -sign, g) if target.requires_grad else None
         return gp, gt
 
-    out = T._make(T._ACTIVE_DTYPE(acc), (pred, target), backward, "sobel_l1")
-    out.hires = acc
-    return out
+    return T._make(T._ACTIVE_DTYPE(acc), (pred, target), backward,
+                   "sobel_l1")
 
 
 def l_trans(pred_img: Tensor, target_img: Tensor, d,
@@ -175,13 +175,6 @@ def combine_g(mae: Tensor, noise: Optional[Tensor], adv_g: Optional[Tensor],
     return total
 
 
-def combine_d(spre: Tensor, trans: Optional[Tensor], beta: float) -> Tensor:
-    """Discriminator objective: -(spre + beta * trans).
-
-    ``spre`` is the log-likelihood value the discriminator maximizes; the
-    optimizer minimizes the returned negation.
-    """
-    inner = spre
-    if trans is not None:
-        inner = T.add(inner, T.scale(trans, beta))
-    return T.scale(inner, -1.0)
+def combine_d(adv_d: Tensor, trans: Tensor, beta: float) -> Tensor:
+    """Discriminator objective: adv_d - beta * trans (see the module doc)."""
+    return T.sub(adv_d, T.scale(trans, beta))

@@ -29,11 +29,7 @@ class MetricReport:
 
 @dataclass
 class BenchRow:
-    """One benchmark-table row: arithmetic means over a set of image pairs.
-
-    Pairs with infinite PSNR (zero MSE) are excluded from the PSNR mean and
-    counted in ``psnr_inf_count``.
-    """
+    """One benchmark-table row: the ``mean_report`` of a set of pairs."""
 
     dataset: str
     scale: int
@@ -61,12 +57,15 @@ def mse(hr: Image, sr: Image) -> float:
     return float((d * d).mean())
 
 
-def psnr(hr: Image, sr: Image) -> float:
-    """10*log10(255^2 / MSE); +inf when the images are identical."""
-    m = mse(hr, sr)
+def _psnr_of_mse(m: float) -> float:
     if m == 0.0:
         return float("inf")
     return float(10.0 * np.log10(PSNR_MAX * PSNR_MAX / m))
+
+
+def psnr(hr: Image, sr: Image) -> float:
+    """10*log10(255^2 / MSE); +inf when the images are identical."""
+    return _psnr_of_mse(mse(hr, sr))
 
 
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
@@ -108,30 +107,30 @@ def ssim(hr: Image, sr: Image) -> float:
 
 
 def metric_report(hr: Image, sr: Image) -> MetricReport:
-    return MetricReport(psnr=psnr(hr, sr), mse=mse(hr, sr),
-                        ssim=ssim(hr, sr))
+    m = mse(hr, sr)
+    return MetricReport(psnr=_psnr_of_mse(m), mse=m, ssim=ssim(hr, sr))
+
+
+def mean_report(reports: Sequence[MetricReport]) -> tuple[MetricReport, int]:
+    """Arithmetic means over per-pair reports, and the number of pairs with
+    infinite PSNR (zero MSE): those are left out of the PSNR mean, which is
+    +inf when every pair is identical."""
+    if not reports:
+        raise ValueError("mean_report: empty pair list")
+    psnrs = [r.psnr for r in reports if not np.isinf(r.psnr)]
+    mean = MetricReport(
+        psnr=float(np.mean(psnrs)) if psnrs else float("inf"),
+        mse=float(np.mean([r.mse for r in reports])),
+        ssim=float(np.mean([r.ssim for r in reports])))
+    return mean, len(reports) - len(psnrs)
 
 
 def evaluate_set(pairs: Sequence[tuple[Image, Image]], name: str,
                  scale: int) -> BenchRow:
-    """Arithmetic means over (hr, sr) pairs; infinite-PSNR pairs are kept
-    out of the PSNR mean and reported via psnr_inf_count."""
-    if not pairs:
-        raise ValueError("evaluate_set: empty pair list")
-    psnrs, mses, ssims = [], [], []
-    inf_count = 0
-    for hr, sr in pairs:
-        p = psnr(hr, sr)
-        if np.isinf(p):
-            inf_count += 1
-        else:
-            psnrs.append(p)
-        mses.append(mse(hr, sr))
-        ssims.append(ssim(hr, sr))
-    mean_psnr = float(np.mean(psnrs)) if psnrs else float("inf")
-    return BenchRow(dataset=name, scale=scale, psnr=mean_psnr,
-                    mse=float(np.mean(mses)), ssim=float(np.mean(ssims)),
-                    count=len(pairs), psnr_inf_count=inf_count)
+    """The benchmark row of (hr, sr) pairs, averaged by ``mean_report``."""
+    mean, inf_count = mean_report([metric_report(hr, sr) for hr, sr in pairs])
+    return BenchRow(dataset=name, scale=scale, psnr=mean.psnr, mse=mean.mse,
+                    ssim=mean.ssim, count=len(pairs), psnr_inf_count=inf_count)
 
 
 BENCH_CSV_HEADER = "dataset,scale,psnr,mse,ssim,n"

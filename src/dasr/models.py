@@ -23,6 +23,7 @@ LRELU_SLOPE = 0.2
 # the frozen feature extractor is the same across all runs and seeds
 _FEATURE_EXTRACTOR_SEED = 0x5EEDFEA7
 
+# the FeatureExtractor stages, shallowest first
 PRIOR_DEPTHS = ("shallow", "middle", "deep")
 
 
@@ -358,19 +359,13 @@ class FeatureExtractor(Model):
 
     Three stages at halving resolution; weights come from a fixed seed that
     does not depend on the run seed, so features are comparable across runs.
-    tap_depth names the stage used as the noise-loss feature level
-    (shallow=0, middle=1, deep=2).
     """
 
-    K = 3
+    K = len(PRIOR_DEPTHS)
     _CHANNELS = (16, 32, 64)
 
-    def __init__(self, tap_depth: str = "middle"):
+    def __init__(self):
         super().__init__()
-        if tap_depth not in PRIOR_DEPTHS:
-            raise ValueError(
-                f"tap_depth must be one of {PRIOR_DEPTHS}, got {tap_depth!r}")
-        self.tap_depth = tap_depth
         rng = generator(_FEATURE_EXTRACTOR_SEED, "feature-extractor")
         self.stages = []
         cin = 1
@@ -388,8 +383,3 @@ class FeatureExtractor(Model):
                              LRELU_SLOPE)
             feats.append(t)
         return feats
-
-    def tap_weights(self) -> list[float]:
-        """One-hot stage weights for the configured tap depth."""
-        idx = PRIOR_DEPTHS.index(self.tap_depth)
-        return [1.0 if i == idx else 0.0 for i in range(self.K)]

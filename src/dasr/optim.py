@@ -1,8 +1,8 @@
 """Adam optimizer and gradient clipping for Parameter lists.
 
 The moment buffers live in flat slabs covering the whole parameter list,
-so one step costs a handful of large vector operations instead of a dozen
-small ones per parameter.
+so one step costs a handful of vector operations per cache-sized block of
+the slab instead of a dozen small ones per parameter.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from typing import Sequence
 import numpy as np
 
 from .tensor import Parameter
+
+# slab elements per block of the Adam update (128 KiB of float32)
+_BLOCK = 32768
 
 
 class AdamState:
@@ -62,18 +65,24 @@ def adam_step(params: Sequence[Parameter], state: AdamState, lr: float,
         g[ofs:ofs + n] = p.grad.reshape(-1)
     state.step_count += 1
     t = state.step_count
-    m *= beta1
-    m += (1.0 - beta1) * g
-    np.square(g, out=g)
-    v *= beta2
-    v += (1.0 - beta2) * g
-    denom = np.sqrt(v)
-    denom *= 1.0 / np.sqrt(1.0 - beta2 ** t)
-    denom += eps
-    np.divide(m, denom, out=denom)
-    denom *= lr / (1.0 - beta1 ** t)
+    bias2 = 1.0 / np.sqrt(1.0 - beta2 ** t)
+    step_size = lr / (1.0 - beta1 ** t)
+    # block by block, so a block stays in cache through all of its vector
+    # ops; each block's gradient slice is overwritten by its update
+    for lo in range(0, g.size, _BLOCK):
+        gb, mb, vb = (a[lo:lo + _BLOCK] for a in (g, m, v))
+        mb *= beta1
+        mb += (1.0 - beta1) * gb
+        np.square(gb, out=gb)
+        vb *= beta2
+        vb += (1.0 - beta2) * gb
+        np.sqrt(vb, out=gb)
+        gb *= bias2
+        gb += eps
+        np.divide(mb, gb, out=gb)
+        gb *= step_size
     for p, (ofs, n) in zip(params, state._slices):
-        p.data -= denom[ofs:ofs + n].reshape(p.shape)
+        p.data -= g[ofs:ofs + n].reshape(p.shape)
         p.grad = None
 
 

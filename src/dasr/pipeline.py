@@ -12,6 +12,7 @@ produce byte-identical checkpoints and logs.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
@@ -34,6 +35,11 @@ from .tensor import Tensor
 
 PRESETS = ("desk", "paper-scale")
 
+# far above every real run, low enough that a typo cannot ask numpy for
+# hundreds of GiB before the first step
+MAX_BATCH = 1024
+MAX_LR_CROP = 1024
+
 
 def _opt(default, text: str, **extra):
     """A field that ``dasr train`` exposes as a flag; see TrainConfig."""
@@ -42,6 +48,11 @@ def _opt(default, text: str, **extra):
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """No inf or nan in a number or a list of numbers."""
+    return all(abs(x) < math.inf for x in (v if isinstance(v, list) else [v]))
 
 
 # field annotation -> (what the error message says, check)
@@ -106,21 +117,26 @@ class TrainConfig:
             if choices is not None and value not in choices:
                 raise ValueError(f"{f.name} must be one of {choices}, "
                                  f"got {value!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+            if "float" in f.type and value is not None \
+                    and not _is_finite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for name, ok, rule in (
                 ("lr", self.lr > 0, "> 0"),
                 ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
                 ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
                 ("eps", self.eps > 0, "> 0"),
-                ("noise_sigma", self.noise_sigma >= 0, ">= 0")):
+                ("alpha", self.alpha >= 0, ">= 0"),
+                ("beta", self.beta >= 0, ">= 0"),
+                ("noise_sigma", self.noise_sigma >= 0, ">= 0"),
+                ("batch", 1 <= self.batch <= MAX_BATCH,
+                 f"in [1, {MAX_BATCH}]"),
+                ("lr_crop", 1 <= self.lr_crop <= MAX_LR_CROP,
+                 f"in [1, {MAX_LR_CROP}]"),
+                ("steps_stage1", self.steps_stage1 >= 0, ">= 0"),
+                ("steps_stage2", self.steps_stage2 >= 0, ">= 0")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, "
                                  f"got {getattr(self, name)}")
-        if self.batch < 1 or self.lr_crop < 1:
-            raise ValueError("batch and lr_crop must be >= 1")
-        if self.steps_stage1 < 0 or self.steps_stage2 < 0:
-            raise ValueError("step counts must be >= 0")
 
     def hr_crop(self) -> int:
         return self.scale * self.lr_crop
@@ -156,19 +172,16 @@ def build_disc_trans(config: TrainConfig) -> DiscTrans:
                      prior_blocks=config.prior_blocks)
 
 
-def build_feature_extractor(config: TrainConfig) -> FeatureExtractor:
-    return FeatureExtractor(tap_depth=config.prior_depth)
-
-
-def noise_feature_weights(config: TrainConfig,
-                          fe: FeatureExtractor) -> list[float]:
-    if config.feature_weights is not None:
-        w = [float(v) for v in config.feature_weights]
-        if len(w) != fe.K:
-            raise ValueError(
-                f"feature_weights needs {fe.K} entries, got {len(w)}")
-        return w
-    return fe.tap_weights()
+def noise_feature_weights(config: TrainConfig) -> list[float]:
+    """The noise loss's weight for each FeatureExtractor stage:
+    ``feature_weights`` when given, else one-hot at ``prior_depth``."""
+    w = config.feature_weights
+    if w is None:
+        return [float(d == config.prior_depth) for d in PRIOR_DEPTHS]
+    if len(w) != FeatureExtractor.K:
+        raise ValueError(f"feature_weights needs {FeatureExtractor.K} "
+                         f"entries, got {len(w)}")
+    return [float(v) for v in w]
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +363,7 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
     """Domain adaptation on visible/IR pairs from a stage-1 generator.
 
     Per step: the texture discriminator takes one step on
-    -(spre + beta * trans); the generator takes one step on
+    adv_d - beta * trans; the generator takes one step on
     mae + alpha * noise (+ adv). When ir_replay is on, the generator also
     replays one plain MAE step on an IR batch. The feature extractor and
     all Sobel filter layers stay frozen throughout.
@@ -372,8 +385,8 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
                     f"cannot seed texture discriminator from stage 1: "
                     f"{full!r} missing or shaped differently")
             p.data = arr.astype(np.float32).copy()
-    fe = build_feature_extractor(config)
-    w_k = noise_feature_weights(config, fe)
+    fe = FeatureExtractor()
+    w_k = noise_feature_weights(config)
     g_state, d_state = AdamState(), AdamState()
     hr_size = (config.hr_crop(), config.hr_crop())
 
@@ -401,12 +414,11 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
         # texture-prior distance
         real_logit, _ = dtrans(hr_t)
         fake_logit, _ = dtrans(sr_det)
-        spre_ll = T.scale(losses.l_adversarial_d(real_logit, fake_logit),
-                          -1.0)
+        adv_d = losses.l_adversarial_d(real_logit, fake_logit)
         trans = losses.l_trans(sr_det, hr_t, dtrans, config.trans_mode)
-        d_loss = losses.combine_d(spre_ll, trans, config.beta)
+        d_loss = losses.combine_d(adv_d, trans, config.beta)
         _update(dtrans, d_loss, d_state, config, i)
-        lb.spre = spre_ll.item()
+        lb.spre = -adv_d.item()
         lb.trans = trans.item()
         lb.total_d = d_loss.item()
 
@@ -468,8 +480,7 @@ def super_resolve(gen: Generator, lr: Image, tile: int = 64,
 
 
 def evaluate_checkpoint(ckpt: Checkpoint, manifest: DatasetManifest,
-                        out_dir: Optional[str] = None, name: str = "eval",
-                        tile: int = 64, overlap: int = 8
+                        out_dir: Optional[str] = None, name: str = "eval"
                         ) -> tuple[BenchRow, BenchRow]:
     """Run the checkpointed generator over the manifest's IR images.
 
@@ -489,7 +500,7 @@ def evaluate_checkpoint(ckpt: Checkpoint, manifest: DatasetManifest,
         hr, _ = manifest.load_hr_pair(i)
         hr = to_luma(hr)
         lr = manifest.lr_for(hr, i, "ir-noise")
-        sr = super_resolve(gen, lr, tile=tile, overlap=overlap)
+        sr = super_resolve(gen, lr)
         base = bicubic_resize(lr, hr.height, hr.width)
         model_pairs.append((hr, sr))
         bicubic_pairs.append((hr, base))

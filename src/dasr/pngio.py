@@ -92,6 +92,12 @@ def _unfilter(raw: bytes, h: int, w: int, c: int) -> np.ndarray:
     return out.reshape(h, w, c)
 
 
+def _check_extent(path: str, width: int, height: int) -> None:
+    if width < 1 or height < 1:
+        raise ImageFormatError(
+            f"{path}: image extent {width}x{height} (need at least 1x1)")
+
+
 def read_png(path: str) -> np.ndarray:
     """Returns a uint8 array [H, W, C], C in {1, 3}."""
     with open(path, "rb") as fh:
@@ -117,6 +123,7 @@ def read_png(path: str) -> np.ndarray:
                     f"{path}: IHDR payload is {length} bytes (need 13)")
             (width, height, bit_depth, color_type, comp, filt,
              interlace) = struct.unpack(">IIBBBBB", payload)
+            _check_extent(path, width, height)
             if bit_depth != 8:
                 raise ImageFormatError(
                     f"{path}: bit depth {bit_depth} unsupported (need 8)")
@@ -200,6 +207,7 @@ def read_pnm(path: str) -> np.ndarray:
     if maxval != 255:
         raise ImageFormatError(
             f"{path}: max-val {maxval} unsupported (need 255)")
+    _check_extent(path, w, h)
     data = blob[pos:pos + h * w * channels]
     if len(data) != h * w * channels:
         raise ImageFormatError(f"{path}: truncated PNM payload")

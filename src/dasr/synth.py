@@ -47,10 +47,13 @@ class ManifestEntry:
 
 @dataclass
 class DatasetManifest:
-    scale: int
     degradation: DegradationSpec
     entries: list[ManifestEntry] = field(default_factory=list)
     base_dir: str = "."
+
+    @property
+    def scale(self) -> int:
+        return self.degradation.scale
 
     def save(self, path: str) -> None:
         doc = {
@@ -82,7 +85,6 @@ class DatasetManifest:
                                  f"key")
         deg = doc.get("degradation", {})
         return DatasetManifest(
-            scale=int(doc["scale"]),
             degradation=DegradationSpec(
                 scale=int(doc["scale"]),
                 blur_sigma=float(deg.get("blur_sigma", 0.0)),
@@ -186,7 +188,6 @@ def render_pair(spec: SyntheticSceneSpec, idx: int) -> tuple[Image, Image]:
 
 
 def make_synthetic_dataset(spec: SyntheticSceneSpec, out_dir: str,
-                           scale: int = 2,
                            degradation: Optional[DegradationSpec] = None
                            ) -> DatasetManifest:
     """Write aligned ir/ and vis/ PNG pairs plus manifest.json.
@@ -197,9 +198,9 @@ def make_synthetic_dataset(spec: SyntheticSceneSpec, out_dir: str,
     os.makedirs(os.path.join(out_dir, "ir"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "vis"), exist_ok=True)
     if degradation is None:
-        degradation = DegradationSpec(scale=scale, seed=derive_seed(
-            spec.seed, "degradation"))
-    manifest = DatasetManifest(scale=scale, degradation=degradation,
+        degradation = DegradationSpec(seed=derive_seed(spec.seed,
+                                                       "degradation"))
+    manifest = DatasetManifest(degradation=degradation,
                                base_dir=os.path.abspath(out_dir))
     for i in range(spec.count):
         ir, vis = render_pair(spec, i)

@@ -81,8 +81,7 @@ def _as_f32(data) -> np.ndarray:
 class Tensor:
     """A float32 array plus an optional gradient and backward-graph node."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op",
-                 "hires")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_f32(data)
@@ -91,9 +90,6 @@ class Tensor:
         self._prev: tuple = ()
         self._backward: Optional[Backward] = None
         self._op = ""
-        # reductions keep their float64 accumulation here so finite-difference
-        # checks are not limited by the float32 rounding of the scalar
-        self.hires: Optional[float] = None
 
     @property
     def shape(self) -> tuple:
@@ -265,9 +261,7 @@ def sum_all(x: Tensor) -> Tensor:
     def backward(g):
         return (np.broadcast_to(g, x.shape).astype(np.float32),)
 
-    out = _make(_ACTIVE_DTYPE(acc), (x,), backward, "sum")
-    out.hires = acc
-    return out
+    return _make(_ACTIVE_DTYPE(acc), (x,), backward, "sum")
 
 
 def mean(x: Tensor) -> Tensor:
@@ -277,9 +271,7 @@ def mean(x: Tensor) -> Tensor:
     def backward(g):
         return (np.full(x.shape, g / n, dtype=np.float32),)
 
-    out = _make(_ACTIVE_DTYPE(acc), (x,), backward, "mean")
-    out.hires = acc
-    return out
+    return _make(_ACTIVE_DTYPE(acc), (x,), backward, "mean")
 
 
 def reduce_mean_abs_diff(a: Tensor, b: Tensor) -> Tensor:
@@ -294,9 +286,7 @@ def reduce_mean_abs_diff(a: Tensor, b: Tensor) -> Tensor:
         gd = sign * np.float32(g / n)
         return gd, -gd
 
-    out = _make(_ACTIVE_DTYPE(acc), (a, b), backward, "mean_abs_diff")
-    out.hires = acc
-    return out
+    return _make(_ACTIVE_DTYPE(acc), (a, b), backward, "mean_abs_diff")
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +304,14 @@ def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
             ho: int, wo: int) -> np.ndarray:
-    """Padded [N,C,H,W] -> [N, C*kh*kw, Ho*Wo] via per-offset block copies."""
+    """Padded [N,C,H,W] -> [N, C*kh*kw, Ho*Wo]: one copy of a strided
+    [N, C, kh, kw, Ho, Wo] window view of ``x``."""
     n, c = x.shape[0], x.shape[1]
-    cols = np.empty((n, c, kh * kw, ho, wo), dtype=x.dtype)
-    he = (ho - 1) * stride + 1
-    we = (wo - 1) * stride + 1
-    for di in range(kh):
-        for dj in range(kw):
-            cols[:, :, di * kw + dj] = x[:, :, di:di + he:stride,
-                                         dj:dj + we:stride]
-    return cols.reshape(n, c * kh * kw, ho * wo)
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, (n, c, kh, kw, ho, wo),
+        (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    return windows.copy().reshape(n, c * kh * kw, ho * wo)
 
 
 def _corr2d_raw(x: np.ndarray, w: np.ndarray, stride: int,
@@ -421,7 +409,8 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
             gpad[:, :, kh - 1:kh - 1 + gh:stride,
                  kw - 1:kw - 1 + gw:stride] = g
             wt = np.ascontiguousarray(
-                w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+                w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1],
+                dtype=np.float64)
             dxp = _corr2d_raw(gpad, wt, 1).astype(np.float32)
             # cover input columns past the last kernel placement
             rh = hp - dxp.shape[2]
@@ -558,9 +547,6 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
         raise ValueError("grad_check: f(x) does not depend on x")
     analytic = x.grad.astype(np.float64).copy()
 
-    def scalar(t: Tensor) -> float:
-        return t.hires if t.hires is not None else float(t.data.reshape(()))
-
     numeric = np.zeros_like(analytic)
     with precise_mode():
         probe = Tensor(x.data)  # float64 copy of the float32 values
@@ -569,9 +555,9 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            fp = scalar(f(probe))
+            fp = f(probe).item()
             flat[i] = orig - eps
-            fm = scalar(f(probe))
+            fm = f(probe).item()
             flat[i] = orig
             nflat[i] = (fp - fm) / (2.0 * eps)
 

@@ -18,11 +18,11 @@ from dasr.imaging import (DegradationSpec, Image, random_paired_crop,
                           sobel_map)
 from dasr.losses import l_adversarial_d, l_noise, l_trans, sobel_l1
 from dasr.metrics import bench_csv, mse, psnr, ssim
-from dasr.models import DiscTrans, Generator, GeneratorConfig
-from dasr.pipeline import (TrainConfig, build_feature_extractor,
-                           evaluate_checkpoint, generator_from_checkpoint,
-                           noise_feature_weights, train_stage1, train_stage2,
-                           _load_samples, _noise_image, _to_nchw)
+from dasr.models import DiscTrans, FeatureExtractor, Generator, GeneratorConfig
+from dasr.pipeline import (TrainConfig, evaluate_checkpoint,
+                           generator_from_checkpoint, noise_feature_weights,
+                           train_stage1, train_stage2, _load_samples,
+                           _noise_image, _to_nchw)
 from dasr.rng import derive_seed
 from dasr.synth import SyntheticSceneSpec, make_synthetic_dataset
 from dasr.tensor import Tensor
@@ -266,8 +266,8 @@ def test_criterion_08_stage2_noise_adaptation_direction(adapt_data):
 
     def feature_distance(ckpt, config):
         gen, _ = generator_from_checkpoint(ckpt)
-        fe = build_feature_extractor(config)
-        w = noise_feature_weights(config, fe)
+        fe = FeatureExtractor()
+        w = noise_feature_weights(config)
         samples = _load_samples(adapt_data, need_vis=True)
         dists = []
         for i in range(4):

@@ -312,6 +312,21 @@ class TestTrain:
         assert "conv_first.bias" in err  # first trainable name, sorted
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--batch", "100000000000", "batch"),
+        ("--lr-crop", "100000", "lr_crop"),
+        ("--lr", "inf", "lr"),
+    ])
+    def test_value_out_of_range_refused_before_the_run(
+            self, dataset_dir, tmp_path, capsys, flag, value, field):
+        ckpt = tmp_path / "x.dasr"
+        code = run(["train", "--stage", "1", "--data", dataset_dir,
+                    "--steps", "1", flag, value, "--ckpt-out", str(ckpt)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ")
+        assert not ckpt.exists()
+
     def test_config_file_int_for_float_field_accepted(self, dataset_dir,
                                                       tmp_path):
         from dasr.checkpoint import load_checkpoint
@@ -370,6 +385,28 @@ class TestMetricsCmd:
         run(["metrics", "--hr", str(hr_d), "--sr", str(sr_d)])
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1].split(",")[1:] == lines[2].split(",")[1:]
+
+    def test_mean_row_equals_evaluate_set(self, dataset_dir, tmp_path,
+                                          capsys):
+        from dasr.imaging import gaussian_blur
+        from dasr.metrics import evaluate_set
+        ir = os.path.join(dataset_dir, "ir")
+        names = sorted(os.listdir(ir))
+        sr_d = tmp_path / "sr"
+        sr_d.mkdir()
+        pairs = []
+        for i, name in enumerate(names):
+            hr = load_image(os.path.join(ir, name))
+            # every other pair identical (infinite PSNR), the rest blurred
+            sr = hr if i % 2 else gaussian_blur(hr, 1.0 + i)
+            save_image(sr, str(sr_d / name))
+            pairs.append((hr, load_image(str(sr_d / name))))
+        assert run(["metrics", "--hr", ir, "--sr", str(sr_d)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        row = evaluate_set(pairs, "mix", 2)
+        assert row.psnr_inf_count == len(names) // 2
+        assert lines[-1] == (f"mean,{row.psnr:.4f},{row.mse:.4f},"
+                             f"{row.ssim:.4f}")
 
     def test_unmatched_names_listed(self, tmp_path, capsys):
         hr_d, sr_d = tmp_path / "hr", tmp_path / "sr"

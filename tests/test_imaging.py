@@ -139,6 +139,25 @@ class TestIO:
         with pytest.raises(ImageFormatError, match="word.pgm"):
             load_image(str(p))
 
+    @pytest.mark.parametrize("width, height", [(4, 0), (0, 4), (0, 0)])
+    def test_png_empty_extent_is_format_error(self, tmp_path, width, height):
+        # an IDAT that holds exactly the rows such an IHDR promises
+        p = tmp_path / "empty.png"
+        ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+        idat = zlib.compress(bytes(height * (width + 1)))
+        p.write_bytes(_PNG_SIG + _chunk(b"IHDR", ihdr)
+                      + _chunk(b"IDAT", idat) + _chunk(b"IEND", b""))
+        with pytest.raises(ImageFormatError, match="empty.png"):
+            load_image(str(p))
+
+    @pytest.mark.parametrize("extent", [b"-1 -3", b"0 0", b"4 0"])
+    def test_pnm_empty_or_negative_extent_is_format_error(self, tmp_path,
+                                                         extent):
+        p = tmp_path / "flat.pgm"
+        p.write_bytes(b"P5\n" + extent + b"\n255\n" + bytes(3))
+        with pytest.raises(ImageFormatError, match="flat.pgm"):
+            load_image(str(p))
+
 
 class TestToLuma:
     def test_gray_identity(self):

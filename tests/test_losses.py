@@ -196,14 +196,19 @@ class TestCombine:
             pytest.approx(0.9, abs=1e-6)
 
     def test_discriminator_arithmetic(self):
-        spre = Tensor(np.float32(1.0))
-        trans = Tensor(np.float32(0.5))
-        assert combine_d(spre, trans, 1.0).item() == \
-            pytest.approx(-1.5, abs=1e-6)
-        assert combine_d(spre, trans, 0.0).item() == \
-            pytest.approx(-1.0, abs=1e-6)
-        assert combine_d(spre, None, 1.0).item() == \
-            pytest.approx(-1.0, abs=1e-6)
+        # adv_d - beta * trans: the cross-entropy the discriminator
+        # minimizes, less the texture-prior distance it maximizes
+        adv_d = Tensor(np.float32(1.0), requires_grad=True)
+        trans = Tensor(np.float32(0.5), requires_grad=True)
+        assert combine_d(adv_d, trans, 1.0).item() == \
+            pytest.approx(0.5, abs=1e-6)
+        assert combine_d(adv_d, trans, 0.0).item() == \
+            pytest.approx(1.0, abs=1e-6)
+        total = combine_d(adv_d, trans, 2.0)
+        assert total.item() == pytest.approx(0.0, abs=1e-6)
+        T.backward(total)
+        assert adv_d.grad == pytest.approx(1.0)
+        assert trans.grad == pytest.approx(-2.0)
 
     def test_breakdown_csv_row_layout(self):
         lb = LossBreakdown(mae=0.5)

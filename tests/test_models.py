@@ -225,13 +225,6 @@ class TestFeatureExtractor:
         fe = FeatureExtractor()
         assert fe.parameters() == []
 
-    def test_tap_weights(self):
-        assert FeatureExtractor("shallow").tap_weights() == [1.0, 0.0, 0.0]
-        assert FeatureExtractor("middle").tap_weights() == [0.0, 1.0, 0.0]
-        assert FeatureExtractor("deep").tap_weights() == [0.0, 0.0, 1.0]
-        with pytest.raises(ValueError, match="tap_depth"):
-            FeatureExtractor("bottom")
-
 
 class TestNamedTensors:
     def test_sorted_unique_enumeration(self):

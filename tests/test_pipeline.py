@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tracemalloc
@@ -79,11 +80,25 @@ class TestManifest:
     def test_odd_extent_cropped_to_scale_multiple(self, tmp_path):
         save_image(Image(np.random.default_rng(1).random((65, 65, 1))),
                    str(tmp_path / "odd.png"))
-        man = DatasetManifest(scale=2, degradation=DegradationSpec(),
+        man = DatasetManifest(degradation=DegradationSpec(),
                               entries=[ManifestEntry(ir="odd.png")],
                               base_dir=str(tmp_path))
         hr, _ = man.load_hr_pair(0)
         assert (hr.height, hr.width) == (64, 64)
+
+    def test_scale_is_the_degradation_scale(self, tmp_path):
+        made = make_synthetic_dataset(
+            SyntheticSceneSpec(count=2, extent=32, seed=4), str(tmp_path),
+            degradation=DegradationSpec(scale=4, noise_sigma=0.02, seed=3))
+        loaded = DatasetManifest.load(str(tmp_path / "manifest.json"))
+        assert made.scale == loaded.scale == 4
+        for i in range(2):
+            hr, _ = made.load_hr_pair(i)
+            lr_made = made.lr_for(hr, i, "ir-noise")
+            lr_loaded = loaded.lr_for(loaded.load_hr_pair(i)[0], i,
+                                      "ir-noise")
+            assert (lr_made.height, lr_made.width) == (8, 8)
+            assert lr_made.array.tobytes() == lr_loaded.array.tobytes()
 
 
 class TestStage1:
@@ -117,6 +132,27 @@ class TestStage1:
         assert len(lines) == 3
 
 
+class TestNoiseFeatureWeights:
+    def test_one_hot_at_prior_depth(self):
+        for depth, weights in (("shallow", [1.0, 0.0, 0.0]),
+                               ("middle", [0.0, 1.0, 0.0]),
+                               ("deep", [0.0, 0.0, 1.0])):
+            assert pipeline.noise_feature_weights(
+                TrainConfig(prior_depth=depth)) == weights
+
+    def test_explicit_weights_as_floats(self):
+        w = pipeline.noise_feature_weights(
+            TrainConfig(prior_depth="deep", feature_weights=[0.2, 1, 0.3]))
+        assert w == [0.2, 1.0, 0.3]
+        assert all(type(v) is float for v in w)
+
+    def test_wrong_length_names_the_field(self):
+        with pytest.raises(ValueError, match="feature_weights needs 3 "
+                                             "entries, got 2"):
+            pipeline.noise_feature_weights(
+                TrainConfig(feature_weights=[0.5, 0.5]))
+
+
 class TestStage2:
     def test_requires_stage1_checkpoint(self, dataset, stage1_ckpt):
         ck2 = train_stage2(stage1_ckpt, dataset, small_config())
@@ -132,18 +168,34 @@ class TestStage2:
 
     def test_frozen_tensors_unchanged_by_training(self, dataset,
                                                   stage1_ckpt):
-        from dasr.pipeline import build_disc_trans, build_feature_extractor
+        from dasr.models import FeatureExtractor
+        from dasr.pipeline import build_disc_trans
         cfg = small_config()
-        fe_hash = build_feature_extractor(cfg).frozen_hash()
+        fe_hash = FeatureExtractor().frozen_hash()
         d_hash = build_disc_trans(cfg).frozen_hash()
         ck2 = train_stage2(stage1_ckpt, dataset, cfg)
-        assert build_feature_extractor(cfg).frozen_hash() == fe_hash
+        assert FeatureExtractor().frozen_hash() == fe_hash
         # the checkpointed sobel layers must match a fresh build bit-for-bit
         fresh = build_disc_trans(cfg)
         assert fresh.frozen_hash() == d_hash
         for name, p in fresh._params.items():
             if p.frozen:
                 assert np.array_equal(ck2.tensors[f"dtrans.{name}"], p.data)
+
+    def test_logged_discriminator_total(self, dataset, stage1_ckpt,
+                                        tmp_path):
+        # total_d = adv_d - beta * trans and spre = -adv_d, to within the
+        # CSV's 6-decimal rounding
+        log = tmp_path / "s2.csv"
+        train_stage2(stage1_ckpt, dataset, small_config(beta=0.5), str(log))
+        header, *rows = log.read_text().strip().splitlines()
+        cols = header.split(",")
+        assert len(rows) == 3
+        for line in rows:
+            r = dict(zip(cols, map(float, line.split(","))))
+            assert r["trans"] != 0.0
+            assert abs(r["total_d"] - (-r["spre"] - 0.5 * r["trans"])) \
+                <= 5e-6
 
     def test_vis_required(self, tmp_path, stage1_ckpt):
         rng = np.random.default_rng(3)
@@ -153,7 +205,7 @@ class TestStage2:
             save_image(Image(rng.random((48, 48, 1))),
                        str(ir_dir / f"{i}.png"))
         man = DatasetManifest(
-            scale=2, degradation=DegradationSpec(scale=2),
+            degradation=DegradationSpec(scale=2),
             entries=[ManifestEntry(ir=f"{i}.png") for i in range(2)],
             base_dir=str(ir_dir))
         with pytest.raises(ValueError, match="visible"):
@@ -422,10 +474,27 @@ class TestManifestRoundTrip:
         ({"beta2": 1.0}, r"beta2 must be in \[0, 1\), got 1\.0"),
         ({"eps": 0.0}, r"eps must be > 0, got 0\.0"),
         ({"noise_sigma": -1.0}, r"noise_sigma must be >= 0, got -1\.0"),
-        ({"alpha": -0.1}, r"alpha and beta must be >= 0"),
+        ({"alpha": -0.1}, r"alpha must be >= 0, got -0\.1"),
+        ({"beta": -1.0}, r"beta must be >= 0, got -1\.0"),
+        ({"lr": math.inf}, r"lr must be finite, got inf"),
+        ({"eps": math.nan}, r"eps must be finite, got nan"),
+        ({"alpha": math.inf}, r"alpha must be finite, got inf"),
+        ({"grad_clip": -math.inf}, r"grad_clip must be finite, got -inf"),
+        ({"feature_weights": [0.2, math.inf, 0.3]},
+         r"feature_weights must be finite, got \[0\.2, inf, 0\.3\]"),
+        ({"batch": 0}, r"batch must be in \[1, 1024\], got 0"),
+        ({"batch": 1025}, r"batch must be in \[1, 1024\], got 1025"),
+        ({"lr_crop": 0}, r"lr_crop must be in \[1, 1024\], got 0"),
+        ({"lr_crop": 100000}, r"lr_crop must be in \[1, 1024\], got 100000"),
+        ({"steps_stage1": -1}, r"steps_stage1 must be >= 0, got -1"),
+        ({"steps_stage2": -1}, r"steps_stage2 must be >= 0, got -1"),
     ], ids=["lr-zero", "lr-negative", "beta1-one", "beta1-negative",
             "beta2-one", "eps-zero", "noise-sigma-negative",
-            "alpha-negative"])
+            "alpha-negative", "beta-negative", "lr-inf", "eps-nan",
+            "alpha-inf", "grad-clip-minus-inf", "feature-weight-inf",
+            "batch-zero", "batch-above-max", "lr-crop-zero",
+            "lr-crop-above-max", "steps-stage1-negative",
+            "steps-stage2-negative"])
     def test_config_value_ranges_checked(self, doc, msg):
         with pytest.raises(ValueError, match=msg):
             TrainConfig.from_dict(doc)
