@@ -128,6 +128,9 @@ class TrainConfig:
                 ("alpha", self.alpha >= 0, ">= 0"),
                 ("beta", self.beta >= 0, ">= 0"),
                 ("noise_sigma", self.noise_sigma >= 0, ">= 0"),
+                ("feature_weights",
+                 all(v >= 0 for v in self.feature_weights or ()),
+                 ">= 0 in every entry"),
                 ("batch", 1 <= self.batch <= MAX_BATCH,
                  f"in [1, {MAX_BATCH}]"),
                 ("lr_crop", 1 <= self.lr_crop <= MAX_LR_CROP,
@@ -487,12 +490,12 @@ def evaluate_checkpoint(ckpt: Checkpoint, manifest: DatasetManifest,
     Returns (model row, bicubic baseline row); SR images are written to
     out_dir when given.
     """
-    config = TrainConfig.from_dict(ckpt.config)
-    if manifest.scale != config.scale:
+    # checked first: tensors of another scale fail to load less clearly
+    scale = TrainConfig.from_dict(ckpt.config).scale
+    if manifest.scale != scale:
         raise ValueError(f"manifest scale {manifest.scale} != checkpoint "
-                         f"scale {config.scale}")
-    gen = build_generator(config)
-    _load_model_tensors(gen, ckpt, "gen")
+                         f"scale {scale}")
+    gen, _ = generator_from_checkpoint(ckpt)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     model_pairs, bicubic_pairs = [], []

@@ -26,7 +26,9 @@ targets use it.
 
 Conventions:
   * 4-D tensors are laid out [batch, channel, height, width].
-  * ``conv2d`` is cross-correlation (no kernel flip).
+  * ``conv2d`` is cross-correlation (no kernel flip). One window matrix
+    serves its output, filter-gradient and input-gradient products; its
+    backward pass, like ``linear``'s, runs in the forward dtype.
   * Reductions accumulate in float64 and emit float32 scalars.
 """
 
@@ -314,48 +316,16 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
     return windows.copy().reshape(n, c * kh * kw, ho * wo)
 
 
-def _corr2d_raw(x: np.ndarray, w: np.ndarray, stride: int,
-                want_cols: bool = False):
-    """Cross-correlation of [N,C,H,W] with [K,C,kh,kw]; no padding here.
-
-    Runs in the promoted dtype of its operands (float32 BLAS normally,
-    float64 under precise_mode). With ``want_cols`` also returns the window
-    matrix for reuse by the filter-gradient pass.
-    """
-    n, c, h, wd = x.shape
-    k, _, kh, kw = w.shape
-    ho = (h - kh) // stride + 1
-    wo = (wd - kw) // stride + 1
-    cols = _im2col(x, kh, kw, stride, ho, wo)
-    wmat = np.ascontiguousarray(w.reshape(k, -1))
-    if wmat.dtype != cols.dtype:
-        wmat = wmat.astype(cols.dtype)
-    out = np.matmul(wmat[None], cols).reshape(n, k, ho, wo)
-    if want_cols:
-        return out, cols
-    return out
-
-
-def _corr2d_filter_grad(cols: np.ndarray, g: np.ndarray, c: int, kh: int,
-                        kw: int) -> np.ndarray:
-    """d(out)/d(weight) from the stashed window matrix.
-
-    Accumulated in float64 so the analytic gradient carries a single final
-    rounding, keeping finite-difference checks tight.
-    """
-    n, k, ho, wo = g.shape
-    gmat = g.reshape(n, k, ho * wo).astype(np.float64)
-    cols64 = cols.astype(np.float64)  # contiguous cast, transposed view below
-    dw = np.matmul(gmat, cols64.transpose(0, 2, 1)).sum(axis=0)
-    return dw.reshape(k, c, kh, kw).astype(np.float32)
-
-
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation with optional bias.
 
     x: [N, Cin, H, W], w: [Cout, Cin, kh, kw], b: [Cout].
     Output extent along each spatial axis: (H + 2*padding - kh)//stride + 1.
+
+    One window matrix ``cols`` of the padded input serves all three
+    products: out = W·cols, dW = Σₙ Gₙ·colsₙᵀ, and dx scatter-adds Wᵀ·G
+    over the kh·kw strided window offsets. Backward runs in the forward dtype.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-D, got shape {x.shape}")
@@ -381,14 +351,14 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
             f"conv2d: padded input {hp}x{wp} smaller than kernel {kh}x{kw}")
 
     compute_dtype = np.result_type(x.data.dtype, w.data.dtype)
-    xd = x.data
-    if xd.dtype != compute_dtype:
-        xd = xd.astype(compute_dtype)
-    xpad = _pad2d(xd, padding)
-    out_data, cols = _corr2d_raw(xpad, w.data, stride, want_cols=True)
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    cols = _im2col(_pad2d(x.data.astype(compute_dtype, copy=False), padding),
+                   kh, kw, stride, ho, wo)
+    wmat = w.data.reshape(cout, -1).astype(compute_dtype, copy=False)
+    out_data = np.matmul(wmat[None], cols).reshape(n, cout, ho, wo)
     if b is not None:
         out_data += b.data[None, :, None, None]
-    ho, wo = out_data.shape[2], out_data.shape[3]
 
     parents = (x, w) if b is None else (x, w, b)
     if not (_GRAD_ENABLED and w.requires_grad):
@@ -396,29 +366,18 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 
     def backward(g):
         dx = dw = None
+        gmat = g.reshape(n, cout, ho * wo)
         if w.requires_grad:
-            dw = _corr2d_filter_grad(cols, g, cin, kh, kw)
+            dw = (np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
+                  .reshape(w.shape))
         if x.requires_grad:
-            # dilate the output grad by the stride, then full-correlate with
-            # the spatially flipped, channel-swapped kernel (float64
-            # accumulation, one final rounding)
-            gh = (ho - 1) * stride + 1
-            gw = (wo - 1) * stride + 1
-            gpad = np.zeros((n, cout, gh + 2 * (kh - 1), gw + 2 * (kw - 1)),
-                            dtype=np.float64)
-            gpad[:, :, kh - 1:kh - 1 + gh:stride,
-                 kw - 1:kw - 1 + gw:stride] = g
-            wt = np.ascontiguousarray(
-                w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1],
-                dtype=np.float64)
-            dxp = _corr2d_raw(gpad, wt, 1).astype(np.float32)
-            # cover input columns past the last kernel placement
-            rh = hp - dxp.shape[2]
-            rw = wp - dxp.shape[3]
-            if rh or rw:
-                full = np.zeros((n, cin, hp, wp), dtype=np.float32)
-                full[:, :, :dxp.shape[2], :dxp.shape[3]] = dxp
-                dxp = full
+            dcols = np.matmul(wmat.T[None], gmat).reshape(
+                n, cin, kh, kw, ho, wo)
+            dxp = np.zeros((n, cin, hp, wp), dtype=dcols.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i:i + stride * ho:stride,
+                        j:j + stride * wo:stride] += dcols[:, :, i, j]
             dx = dxp[:, :, padding:padding + h, padding:padding + wd]
         return (dx, dw) if b is None else (dx, dw, g.sum(axis=(0, 2, 3)))
 
@@ -445,15 +404,12 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
-        g64 = g.astype(np.float64)
         dx = dw = None
         if w.requires_grad:
-            dw = (g64.T @ x.data.astype(np.float64)).astype(np.float32)
+            dw = g.T @ x.data
         if x.requires_grad:
-            dx = (g64 @ w.data.astype(np.float64)).astype(np.float32)
-        if b is None:
-            return dx, dw
-        return dx, dw, g.sum(axis=0, dtype=np.float64).astype(np.float32)
+            dx = g @ w.data
+        return (dx, dw) if b is None else (dx, dw, g.sum(axis=0))
 
     return _make(out_data, parents, backward, "linear")
 

@@ -461,7 +461,8 @@ class TestManifestRoundTrip:
         ({"alpha": "0.1"}, "alpha must be float, got str"),
         ({"feature_weights": [0.5, "x", 0.5]},
          "feature_weights must be None or a list of numbers, got list"),
-    ])
+    ], ids=["adv-enabled-int", "seed-bool", "alpha-str",
+            "feature-weights-str-entry"])
     def test_config_value_types_checked(self, doc, msg):
         with pytest.raises(ValueError, match=msg):
             TrainConfig.from_dict(doc)
@@ -482,6 +483,9 @@ class TestManifestRoundTrip:
         ({"grad_clip": -math.inf}, r"grad_clip must be finite, got -inf"),
         ({"feature_weights": [0.2, math.inf, 0.3]},
          r"feature_weights must be finite, got \[0\.2, inf, 0\.3\]"),
+        ({"feature_weights": [-1.0, 0.0, 0.0]},
+         r"feature_weights must be >= 0 in every entry, "
+         r"got \[-1\.0, 0\.0, 0\.0\]"),
         ({"batch": 0}, r"batch must be in \[1, 1024\], got 0"),
         ({"batch": 1025}, r"batch must be in \[1, 1024\], got 1025"),
         ({"lr_crop": 0}, r"lr_crop must be in \[1, 1024\], got 0"),
@@ -492,6 +496,7 @@ class TestManifestRoundTrip:
             "beta2-one", "eps-zero", "noise-sigma-negative",
             "alpha-negative", "beta-negative", "lr-inf", "eps-nan",
             "alpha-inf", "grad-clip-minus-inf", "feature-weight-inf",
+            "feature-weight-negative",
             "batch-zero", "batch-above-max", "lr-crop-zero",
             "lr-crop-above-max", "steps-stage1-negative",
             "steps-stage2-negative"])

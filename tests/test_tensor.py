@@ -78,17 +78,31 @@ class TestConv2d:
 
     def test_gradients(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.random((1, 2, 6, 6)) * 2 - 1, requires_grad=True)
         w = Tensor(rng.random((3, 2, 3, 3)) * 2 - 1, requires_grad=True)
-        for stride, pad in [(1, 0), (1, 1), (2, 1)]:
-            err = T.grad_check(
-                lambda t: T.mean(T.conv2d(t, w, stride=stride, padding=pad)),
-                x)
-            assert err < 1e-3
-            err = T.grad_check(
-                lambda t: T.mean(T.conv2d(x, t, stride=stride, padding=pad)),
-                w)
-            assert err < 1e-3
+        b = Tensor(rng.random(3) * 2 - 1, requires_grad=True)
+        # (input shape, stride, padding); at stride 2 with no padding the
+        # last row and column of a 6x6 input lie in no window, and a batch
+        # of 2 sums the filter gradient over the batch
+        for shape, stride, pad in [((1, 2, 6, 6), 1, 0), ((1, 2, 6, 6), 1, 1),
+                                   ((1, 2, 6, 6), 2, 1), ((1, 2, 6, 6), 2, 0),
+                                   ((2, 2, 5, 7), 1, 1), ((2, 2, 5, 7), 2, 0)]:
+            x = Tensor(rng.random(shape) * 2 - 1, requires_grad=True)
+            out_shape = T.conv2d(x, w, b, stride=stride, padding=pad).shape
+            # a non-uniform output gradient, so each window offset counts;
+            # positive, so no bias gradient sits near 0
+            probe = Tensor(rng.random(out_shape) + 0.5)
+
+            def loss(xt, wt, bt):
+                out = T.conv2d(xt, wt, bt, stride=stride, padding=pad)
+                return T.mean(T.mul(out, probe))
+
+            assert T.grad_check(lambda t: loss(t, w, b), x) < 1e-3
+            assert T.grad_check(lambda t: loss(x, t, b), w) < 1e-3
+            assert T.grad_check(lambda t: loss(x, w, t), b) < 1e-3
+            if (shape, stride, pad) == ((1, 2, 6, 6), 2, 0):
+                # the last row and column lie in no window: exactly zero
+                assert not x.grad[:, :, 5].any() and not x.grad[..., 5].any()
+                assert x.grad[:, :, 4].any() and x.grad[..., 4].any()
 
 
 class TestLeakyRelu:
