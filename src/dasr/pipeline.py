@@ -454,20 +454,58 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
 # inference and evaluation
 # ---------------------------------------------------------------------------
 
+def _span(n: int, k: int, overlap: int) -> int:
+    """Extent of each of k equal windows that cover n pixels with
+    neighbours sharing at least ``overlap`` pixels."""
+    return -(-(n + (k - 1) * overlap) // k)
+
+
+def _starts(n: int, k: int, size: int) -> list[int]:
+    """Starts of k windows of ``size`` spread evenly over n pixels."""
+    return [i * (n - size) // max(k - 1, 1) for i in range(k)]
+
+
+def _tile_plan(h: int, w: int, tile: int, overlap: int
+               ) -> tuple[int, list[int], int, list[int]]:
+    """(tile height, row starts, tile width, column starts) of the tiling of
+    an h x w image that computes the fewest pixels with at most tile*tile
+    pixels a tile: for each row count it takes the fewest columns that fit,
+    and ties go to fewer tiles, then to fewer rows."""
+    if overlap < 0 or tile <= overlap:
+        raise ValueError(f"super_resolve: need overlap >= 0 and tile > "
+                         f"overlap, got tile={tile}, overlap={overlap}")
+    best = None
+    # past h - overlap rows a strip cannot get thinner than overlap + 1
+    for rows in range(1, max(h - overlap, 1) + 1):
+        th = _span(h, rows, overlap)
+        fit = tile * tile // th  # widest tile of this height
+        if fit >= w:
+            cols = 1
+        elif fit > overlap:
+            # fewest columns whose tiles are at most fit wide
+            cols = -(-(w - overlap) // (fit - overlap))
+        else:
+            continue
+        tw = _span(w, cols, overlap)
+        key = (rows * th * cols * tw, rows * cols)
+        if best is None or key < best[0]:
+            best = key, rows, th, cols, tw
+    _, rows, th, cols, tw = best
+    return th, _starts(h, rows, th), tw, _starts(w, cols, tw)
+
+
 def super_resolve(gen: Generator, lr: Image, tile: int = 64,
                   overlap: int = 8) -> Image:
-    """Run the generator over a full LR image, tiled with overlap; seams
-    are blended by averaging the overlapping predictions. Builds no
-    autograd graph."""
+    """Run the generator over a full LR image in tiles of at most tile*tile
+    LR pixels, planned to compute the fewest pixels; neighbouring tiles
+    overlap by at least ``overlap`` and their seams are blended by averaging
+    the overlapping predictions. An image of at most tile*tile pixels runs
+    as one tile, so its output is the generator's own. Builds no autograd
+    graph."""
     lr = to_luma(lr)
     scale = gen.config.scale
     h, w = lr.height, lr.width
-    th = min(tile, h)
-    tw = min(tile, w)
-    step_h = max(th - overlap, 1)
-    step_w = max(tw - overlap, 1)
-    ys = sorted(set(list(range(0, max(h - th, 0) + 1, step_h)) + [h - th]))
-    xs = sorted(set(list(range(0, max(w - tw, 0) + 1, step_w)) + [w - tw]))
+    th, ys, tw, xs = _tile_plan(h, w, tile, overlap)
     acc = np.zeros((h * scale, w * scale), dtype=np.float64)
     cnt = np.zeros((h * scale, w * scale), dtype=np.float64)
     with T.no_grad():

@@ -350,7 +350,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         raise ValueError(
             f"conv2d: padded input {hp}x{wp} smaller than kernel {kh}x{kw}")
 
-    compute_dtype = np.result_type(x.data.dtype, w.data.dtype)
+    # the bias too, so that a float64 bias is not rounded into a float32 output
+    compute_dtype = np.result_type(x.data.dtype, w.data.dtype,
+                                   (w if b is None else b).data.dtype)
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     cols = _im2col(_pad2d(x.data.astype(compute_dtype, copy=False), padding),
@@ -395,7 +397,9 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise ValueError(f"linear: input width {d} != weight width {d_w}")
     if b is not None and b.shape != (m,):
         raise ValueError(f"linear: bias shape {b.shape} != ({m},)")
-    compute_dtype = np.result_type(x.data.dtype, w.data.dtype)
+    # the bias too, so that a float64 bias is not rounded into a float32 output
+    compute_dtype = np.result_type(x.data.dtype, w.data.dtype,
+                                   (w if b is None else b).data.dtype)
     xd = x.data if x.data.dtype == compute_dtype else x.data.astype(compute_dtype)
     wt = w.data.T if w.data.dtype == compute_dtype else w.data.T.astype(compute_dtype)
     out_data = xd @ wt

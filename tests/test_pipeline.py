@@ -11,16 +11,19 @@ import weakref
 import numpy as np
 import pytest
 
-from dasr import checkpoint, pipeline
+from dasr import checkpoint, pipeline, tensor as T
 from dasr.checkpoint import (Checkpoint, CheckpointError, checkpoint_bytes,
                              load_checkpoint, save_checkpoint)
 from dasr.imaging import DegradationSpec, Image, save_image, sobel_map
 from dasr.metrics import evaluate_set
+from dasr.pngio import (ImageFormatError, read_png, read_pnm, write_png,
+                        write_pnm)
 from dasr.pipeline import (TrainConfig, build_generator, evaluate_checkpoint,
                            generator_from_checkpoint, super_resolve,
                            train_stage1, train_stage2)
 from dasr.synth import (DatasetManifest, ManifestEntry, SyntheticSceneSpec,
                         make_synthetic_dataset)
+from dasr.tensor import Tensor
 
 
 def small_config(**kw):
@@ -424,6 +427,106 @@ class TestEvaluate:
         # deterministic
         again = super_resolve(gen, lr, tile=16, overlap=8)
         assert np.array_equal(tiled.array, again.array)
+
+
+class _CountingGenerator:
+    """Forwards to a generator and records the shape of every input."""
+
+    def __init__(self, gen):
+        self.gen, self.config, self.shapes = gen, gen.config, []
+
+    def __call__(self, x):
+        self.shapes.append(x.shape)
+        return self.gen(x)
+
+
+class TestTilePlan:
+    SHAPES = [(80, 80), (65, 65), (1, 200), (200, 7), (33, 97)]
+
+    @pytest.mark.parametrize("tile,overlap", [(64, 8), (16, 8), (9, 8),
+                                              (10, 0), (1, 0), (20, 3)])
+    def test_tiles_fit_the_budget_and_overlap(self, tile, overlap):
+        for h, w in self.SHAPES + [(2, 2), (9, 130), (130, 64), (64, 65)]:
+            th, ys, tw, xs = pipeline._tile_plan(h, w, tile, overlap)
+            assert th * tw <= tile * tile
+            for starts, size, n in ((ys, th, h), (xs, tw, w)):
+                assert starts[0] == 0 and starts[-1] + size == n
+                for a, b in zip(starts, starts[1:]):
+                    assert 0 < b - a <= size - overlap
+
+    def test_80x80_runs_two_strips(self, stage1_ckpt):
+        gen = _CountingGenerator(generator_from_checkpoint(stage1_ckpt)[0])
+        lr = Image(np.random.default_rng(4).random((80, 80, 1)))
+        super_resolve(gen, lr)
+        assert gen.shapes == [(1, 1, 80, 44)] * 2
+
+    @pytest.mark.parametrize("tile,overlap", [(64, 8), (24, 8)])
+    def test_every_pixel_covered_and_finite(self, stage1_ckpt, tile,
+                                            overlap):
+        gen, _ = generator_from_checkpoint(stage1_ckpt)
+        rng = np.random.default_rng(5)
+        for h, w in self.SHAPES:
+            lr = Image(rng.random((h, w, 1)))
+            sr = super_resolve(gen, lr, tile=tile, overlap=overlap)
+            assert sr.array.shape == (2 * h, 2 * w, 1)
+            # a pixel no tile covered would be 0 / 0
+            assert np.all(np.isfinite(sr.array))
+            again = super_resolve(gen, lr, tile=tile, overlap=overlap)
+            assert np.array_equal(sr.array, again.array)
+
+    @pytest.mark.parametrize("h,w", [(64, 64), (33, 97), (1, 200), (200, 7)])
+    def test_image_within_budget_is_one_exact_forward(self, stage1_ckpt,
+                                                      h, w):
+        gen, _ = generator_from_checkpoint(stage1_ckpt)
+        lr = Image(np.random.default_rng(6).random((h, w, 1)))
+        with T.no_grad():
+            direct = gen(Tensor(lr.array[None, None, :, :, 0]
+                                .astype(np.float32))).data[0, 0]
+        sr = super_resolve(gen, lr)
+        assert np.array_equal(sr.array[:, :, 0], np.clip(direct, 0.0, 1.0))
+
+    @pytest.mark.parametrize("tile,overlap", [(8, 8), (4, 9), (0, 0),
+                                              (64, -1)])
+    def test_bad_tile_arguments_name_both_values(self, tile, overlap):
+        gen = build_generator(small_config())
+        lr = Image(np.zeros((80, 80, 1)))
+        with pytest.raises(ValueError,
+                           match=f"tile={tile}, overlap={overlap}"):
+            super_resolve(gen, lr, tile=tile, overlap=overlap)
+
+
+class TestReaderFuzz:
+    @pytest.mark.parametrize("kind", ["png", "pnm", "checkpoint"])
+    def test_truncations_and_byte_flips_raise_format_errors(self, kind,
+                                                            tmp_path):
+        # every input must load or raise the reader's own format error
+        path = tmp_path / f"f.{kind}"
+        pixels = (np.arange(48).reshape(4, 4, 3) * 5).astype(np.uint8)
+        if kind == "png":
+            write_png(str(path), pixels)
+            read, error = read_png, ImageFormatError
+        elif kind == "pnm":
+            write_pnm(str(path), pixels[:, :, 0])
+            read, error = read_pnm, ImageFormatError
+        else:
+            save_checkpoint(Checkpoint(
+                stage="stage1", config={"scale": 2},
+                tensors={"w": np.ones((2, 3), dtype=np.float32),
+                         "b": np.zeros(2, dtype=np.float32)}), str(path))
+            read, error = load_checkpoint, CheckpointError
+        blob = path.read_bytes()
+        rng = np.random.default_rng(13)
+        cases = [blob[:n] for n in range(len(blob))]
+        for _ in range(300):
+            flipped = bytearray(blob)
+            flipped[rng.integers(len(blob))] ^= int(rng.integers(1, 256))
+            cases.append(bytes(flipped))
+        for case in cases:
+            path.write_bytes(case)
+            try:
+                read(str(path))
+            except error:
+                pass
 
 
 class TestManifestRoundTrip:

@@ -104,6 +104,25 @@ class TestConv2d:
                 assert not x.grad[:, :, 5].any() and not x.grad[..., 5].any()
                 assert x.grad[:, :, 4].any() and x.grad[..., 4].any()
 
+    def test_bias_gradient_with_signed_probe(self):
+        # the loss is linear in the bias, so the float64 central difference
+        # is exact unless the bias is rounded to the float32 output; a signed
+        # probe puts bias gradients near 0, where that rounding shows
+        rng = np.random.default_rng(7)
+        w = Tensor(rng.random((3, 2, 3, 3)) * 2 - 1)
+        b = Tensor(rng.random(3) * 2 - 1, requires_grad=True)
+        for shape, stride, pad in [((1, 2, 6, 6), 1, 0), ((1, 2, 6, 6), 2, 1),
+                                   ((2, 2, 5, 7), 2, 0)]:
+            x = Tensor(rng.random(shape) * 2 - 1)
+            out_shape = T.conv2d(x, w, b, stride=stride, padding=pad).shape
+            probe = Tensor(rng.random(out_shape) * 2 - 1)
+
+            def loss(bt):
+                out = T.conv2d(x, w, bt, stride=stride, padding=pad)
+                return T.mean(T.mul(out, probe))
+
+            assert T.grad_check(loss, b) < 1e-5
+
 
 class TestLeakyRelu:
     def test_definition(self):
@@ -202,6 +221,11 @@ class TestLinear:
         assert T.grad_check(lambda t: T.mean(T.linear(t, w, b)), x) < 1e-3
         assert T.grad_check(lambda t: T.mean(T.linear(x, t, b)), w) < 1e-3
         assert T.grad_check(lambda t: T.mean(T.linear(x, w, t)), b) < 1e-3
+        # signed probe: the bias gradient nears 0, and the float64 bias probe
+        # must not be rounded to the float32 output
+        probe = Tensor(rng.random((2, 3)) * 2 - 1)
+        assert T.grad_check(
+            lambda t: T.mean(T.mul(T.linear(x, w, t), probe)), b) < 1e-5
 
     def test_shape_error(self):
         with pytest.raises(ValueError, match="width"):
