@@ -469,25 +469,33 @@ def _tile_plan(h: int, w: int, tile: int, overlap: int
                ) -> tuple[int, list[int], int, list[int]]:
     """(tile height, row starts, tile width, column starts) of the tiling of
     an h x w image that computes the fewest pixels with at most tile*tile
-    pixels a tile: for each row count it takes the fewest columns that fit,
-    and ties go to fewer tiles, then to fewer rows."""
+    pixels a tile, over every (rows, columns) pair; ties go to fewer tiles,
+    then to fewer rows. More columns only narrow a tile, so a row count
+    takes the best column count at or above the fewest that fit."""
     if overlap < 0 or tile <= overlap:
         raise ValueError(f"super_resolve: need overlap >= 0 and tile > "
                          f"overlap, got tile={tile}, overlap={overlap}")
+    # past n - overlap windows a tile cannot get thinner than overlap + 1;
+    # best_from[c]: (computed width, columns, tile width) of the fewest
+    # computed columns, then fewest tiles, over c or more columns
+    ncols = max(w - overlap, 1)
+    best_from = [(float("inf"),)] * (ncols + 2)
+    for cols in range(ncols, 0, -1):
+        tw = _span(w, cols, overlap)
+        best_from[cols] = min((cols * tw, cols, tw), best_from[cols + 1])
     best = None
-    # past h - overlap rows a strip cannot get thinner than overlap + 1
     for rows in range(1, max(h - overlap, 1) + 1):
         th = _span(h, rows, overlap)
         fit = tile * tile // th  # widest tile of this height
         if fit >= w:
-            cols = 1
+            fewest = 1
         elif fit > overlap:
             # fewest columns whose tiles are at most fit wide
-            cols = -(-(w - overlap) // (fit - overlap))
+            fewest = -(-(w - overlap) // (fit - overlap))
         else:
             continue
-        tw = _span(w, cols, overlap)
-        key = (rows * th * cols * tw, rows * cols)
+        width, cols, tw = best_from[fewest]
+        key = (rows * th * width, rows * cols)
         if best is None or key < best[0]:
             best = key, rows, th, cols, tw
     _, rows, th, cols, tw = best

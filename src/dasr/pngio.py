@@ -8,13 +8,15 @@ level, so identical pixel data always produces identical bytes.
 from __future__ import annotations
 
 import struct
-import sys
 import zlib
 
 import numpy as np
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
 _ZLIB_LEVEL = 6
+# largest pixel count a header may declare (8192 x 8192), checked before
+# any pixel data is inflated or allocated
+MAX_PIXELS = 1 << 26
 
 
 class ImageFormatError(ValueError):
@@ -96,6 +98,10 @@ def _check_extent(path: str, width: int, height: int) -> None:
     if width < 1 or height < 1:
         raise ImageFormatError(
             f"{path}: image extent {width}x{height} (need at least 1x1)")
+    if width * height > MAX_PIXELS:
+        raise ImageFormatError(
+            f"{path}: image extent {width}x{height} is above the limit of "
+            f"MAX_PIXELS={MAX_PIXELS} pixels")
 
 
 def read_png(path: str) -> np.ndarray:
@@ -145,7 +151,7 @@ def read_png(path: str) -> np.ndarray:
     # that inflates to far more is rejected without allocating it
     inflater = zlib.decompressobj()
     try:
-        raw = inflater.decompress(bytes(idat), min(expected + 1, sys.maxsize))
+        raw = inflater.decompress(bytes(idat), expected + 1)
     except zlib.error as exc:
         raise ImageFormatError(f"{path}: corrupt IDAT stream: {exc}") from exc
     if len(raw) != expected:

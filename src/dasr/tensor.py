@@ -26,9 +26,12 @@ targets use it.
 
 Conventions:
   * 4-D tensors are laid out [batch, channel, height, width].
-  * ``conv2d`` is cross-correlation (no kernel flip). One window matrix
-    serves its output, filter-gradient and input-gradient products; its
-    backward pass, like ``linear``'s, runs in the forward dtype.
+  * ``conv2d`` is cross-correlation (no kernel flip). The window matrix of
+    its input serves its output and filter-gradient products. Its input
+    gradient comes from the smaller of two window matrices: that of the
+    output gradient for a stride-1 conv that does not widen, that of the
+    input otherwise. Its backward pass, like ``linear``'s, runs in the
+    forward dtype.
   * Reductions accumulate in float64 and emit float32 scalars.
 """
 
@@ -295,12 +298,12 @@ def reduce_mean_abs_diff(a: Tensor, b: Tensor) -> Tensor:
 # convolution / linear / pixel shuffle
 # ---------------------------------------------------------------------------
 
-def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
+def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    if ph == pw == 0:
         return x
     n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    out[:, :, p:p + h, p:p + w] = x
+    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    out[:, :, ph:ph + h, pw:pw + w] = x
     return out
 
 
@@ -323,9 +326,12 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     x: [N, Cin, H, W], w: [Cout, Cin, kh, kw], b: [Cout].
     Output extent along each spatial axis: (H + 2*padding - kh)//stride + 1.
 
-    One window matrix ``cols`` of the padded input serves all three
-    products: out = W·cols, dW = Σₙ Gₙ·colsₙᵀ, and dx scatter-adds Wᵀ·G
-    over the kh·kw strided window offsets. Backward runs in the forward dtype.
+    The window matrix ``cols`` of the padded input gives out = W·cols and
+    dW = Σₙ Gₙ·colsₙᵀ. At stride 1 with Cout <= Cin and padding <= k-1, dx
+    is one product of the flipped [Cin, Cout·kh·kw] weight with the window
+    matrix of G padded by k-1-padding, no taller than Wᵀ·G's Cin·kh·kw rows;
+    otherwise dx scatter-adds Wᵀ·G over the kh·kw strided window offsets.
+    Backward runs in the forward dtype.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-D, got shape {x.shape}")
@@ -355,8 +361,8 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
                                    (w if b is None else b).data.dtype)
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    cols = _im2col(_pad2d(x.data.astype(compute_dtype, copy=False), padding),
-                   kh, kw, stride, ho, wo)
+    cols = _im2col(_pad2d(x.data.astype(compute_dtype, copy=False), padding,
+                          padding), kh, kw, stride, ho, wo)
     wmat = w.data.reshape(cout, -1).astype(compute_dtype, copy=False)
     out_data = np.matmul(wmat[None], cols).reshape(n, cout, ho, wo)
     if b is not None:
@@ -365,6 +371,8 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     parents = (x, w) if b is None else (x, w, b)
     if not (_GRAD_ENABLED and w.requires_grad):
         cols = None  # nothing will need the window matrix
+    # dx as one correlation of g when its window matrix is the smaller one
+    correlate = stride == 1 and cout <= cin and padding < min(kh, kw)
 
     def backward(g):
         dx = dw = None
@@ -372,7 +380,13 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         if w.requires_grad:
             dw = (np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
                   .reshape(w.shape))
-        if x.requires_grad:
+        if x.requires_grad and correlate:
+            gcols = _im2col(_pad2d(g, kh - 1 - padding, kw - 1 - padding),
+                            kh, kw, 1, h, wd)
+            wflip = (wmat.reshape(cout, cin, kh, kw)[:, :, ::-1, ::-1]
+                     .transpose(1, 0, 2, 3).reshape(cin, -1))
+            dx = np.matmul(wflip[None], gcols).reshape(n, cin, h, wd)
+        elif x.requires_grad:
             dcols = np.matmul(wmat.T[None], gmat).reshape(
                 n, cin, kh, kw, ho, wo)
             dxp = np.zeros((n, cin, hp, wp), dtype=dcols.dtype)

@@ -11,7 +11,7 @@ import pytest
 from dasr.imaging import (DegradationSpec, Image, add_gaussian_noise,
                           bicubic_resize, degrade, gaussian_blur, load_image,
                           random_paired_crop, save_image, sobel_map, to_luma)
-from dasr.pngio import _PNG_SIG, ImageFormatError, _chunk
+from dasr.pngio import _PNG_SIG, MAX_PIXELS, ImageFormatError, _chunk
 
 
 def sobel_oracle(gray):
@@ -114,14 +114,39 @@ class TestIO:
         assert peak < 16 * 2 ** 20
 
     def test_png_huge_ihdr_is_format_error(self, tmp_path):
-        # its expected payload size is past the largest inflate limit
+        # its declared pixel count is past MAX_PIXELS, and past what any
+        # inflate call could be asked for
         p = tmp_path / "huge.png"
         ihdr = struct.pack(">IIBBBBB", 2 ** 32 - 1, 2 ** 32 - 1, 8, 2, 0, 0, 0)
         p.write_bytes(_PNG_SIG + _chunk(b"IHDR", ihdr)
                       + _chunk(b"IDAT", zlib.compress(bytes(16)))
                       + _chunk(b"IEND", b""))
-        with pytest.raises(ImageFormatError, match="payload size"):
+        with pytest.raises(ImageFormatError, match="MAX_PIXELS"):
             load_image(str(p))
+
+    def test_png_declared_size_over_the_cap_is_refused_before_inflating(
+            self, tmp_path):
+        # a 20000x20000 grayscale IHDR whose IDAT is a zero bomb inflating
+        # to exactly the rows it promises (400 MB)
+        width = height = 20000
+        assert width * height > MAX_PIXELS
+        p = tmp_path / "big.png"
+        ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0)
+        deflate = zlib.compressobj(9)
+        row_block = bytes(1000 * (width + 1))
+        idat = b"".join(deflate.compress(row_block)
+                        for _ in range(height // 1000)) + deflate.flush()
+        p.write_bytes(_PNG_SIG + _chunk(b"IHDR", ihdr)
+                      + _chunk(b"IDAT", idat) + _chunk(b"IEND", b""))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImageFormatError,
+                               match=f"20000x20000 .*MAX_PIXELS={MAX_PIXELS}"):
+                load_image(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_png_idat_without_stream_end_is_format_error(self, tmp_path):
         p = tmp_path / "cut.png"

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import struct
+import time
 import tracemalloc
 import weakref
 
@@ -453,6 +454,46 @@ class TestTilePlan:
                 assert starts[0] == 0 and starts[-1] + size == n
                 for a, b in zip(starts, starts[1:]):
                     assert 0 < b - a <= size - overlap
+
+    @staticmethod
+    def _brute_force_plan(h, w, tile, overlap):
+        # every (rows, columns) pair: fewest pixels, then tiles, then rows
+        best = None
+        for rows in range(1, max(h - overlap, 1) + 1):
+            for cols in range(1, max(w - overlap, 1) + 1):
+                th = pipeline._span(h, rows, overlap)
+                tw = pipeline._span(w, cols, overlap)
+                key = (rows * th * cols * tw, rows * cols, rows)
+                if th * tw <= tile * tile and (best is None or key < best[0]):
+                    best = key, th, rows, tw, cols
+        _, th, rows, tw, cols = best
+        return (th, pipeline._starts(h, rows, th), tw,
+                pipeline._starts(w, cols, tw))
+
+    def test_plan_is_the_brute_force_fewest_pixel_grid(self):
+        for tile, overlap in [(20, 3), (10, 0), (9, 8), (6, 2), (5, 0)]:
+            for h in range(1, 34, 4):
+                for w in (1, 7, 13, 30, 41):
+                    assert (pipeline._tile_plan(h, w, tile, overlap)
+                            == self._brute_force_plan(h, w, tile, overlap))
+
+    @pytest.mark.parametrize("h,w,tile,overlap,pixels,tiles", [
+        (33, 130, 20, 3, 5472, 16), (9, 130, 10, 0, 1170, 13)])
+    def test_more_columns_can_compute_fewer_pixels(self, h, w, tile, overlap,
+                                                   pixels, tiles):
+        # the fewest columns that fit each row count would give 5,544
+        # pixels for the first and 18 tiles of 1,170 pixels for the second
+        th, ys, tw, xs = pipeline._tile_plan(h, w, tile, overlap)
+        assert (th * len(ys) * tw * len(xs), len(ys) * len(xs)) == (pixels,
+                                                                   tiles)
+
+    def test_plan_of_a_large_image_is_fast(self):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            pipeline._tile_plan(4096, 4096, 64, 8)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.05
 
     def test_80x80_runs_two_strips(self, stage1_ckpt):
         gen = _CountingGenerator(generator_from_checkpoint(stage1_ckpt)[0])

@@ -80,12 +80,27 @@ class TestConv2d:
         rng = np.random.default_rng(7)
         w = Tensor(rng.random((3, 2, 3, 3)) * 2 - 1, requires_grad=True)
         b = Tensor(rng.random(3) * 2 - 1, requires_grad=True)
-        # (input shape, stride, padding); at stride 2 with no padding the
-        # last row and column of a 6x6 input lie in no window, and a batch
-        # of 2 sums the filter gradient over the batch
-        for shape, stride, pad in [((1, 2, 6, 6), 1, 0), ((1, 2, 6, 6), 1, 1),
-                                   ((1, 2, 6, 6), 2, 1), ((1, 2, 6, 6), 2, 0),
-                                   ((2, 2, 5, 7), 1, 1), ((2, 2, 5, 7), 2, 0)]:
+        # 2 -> 3 channels widens: dx scatter-adds the window offsets. 3 -> 2
+        # narrows: at stride 1 and padding <= k - 1, dx is one correlation of
+        # the output gradient with the flipped kernel; padding 3 on a 3x3 or
+        # 1 on a 1x1 kernel takes the scatter-add again
+        nrng = np.random.default_rng(8)
+        narrow = [(Tensor(nrng.random((2, 3, k, k)) * 2 - 1,
+                          requires_grad=True),
+                   Tensor(nrng.random(2) * 2 - 1, requires_grad=True))
+                  for k in (3, 1)]
+        # (weight, bias, input shape, stride, padding); at stride 2 with no
+        # padding the last row and column of a 6x6 input lie in no window,
+        # and a batch of 2 sums the filter gradient over the batch
+        cases = [(w, b, (1, 2, 6, 6), 1, 0), (w, b, (1, 2, 6, 6), 1, 1),
+                 (w, b, (1, 2, 6, 6), 2, 1), (w, b, (1, 2, 6, 6), 2, 0),
+                 (w, b, (2, 2, 5, 7), 1, 1), (w, b, (2, 2, 5, 7), 2, 0)]
+        cases += [(*narrow[0], shape, 1, pad) for shape, pad in
+                  [((1, 3, 6, 6), 0), ((1, 3, 6, 6), 1), ((2, 3, 5, 7), 1),
+                   ((2, 3, 5, 7), 0), ((1, 3, 4, 5), 3)]]
+        cases += [(*narrow[1], (2, 3, 5, 7), 1, pad) for pad in (0, 1)]
+        cases += [(*narrow[0], (2, 3, 5, 7), 2, 1)]
+        for w, b, shape, stride, pad in cases:
             x = Tensor(rng.random(shape) * 2 - 1, requires_grad=True)
             out_shape = T.conv2d(x, w, b, stride=stride, padding=pad).shape
             # a non-uniform output gradient, so each window offset counts;
