@@ -31,8 +31,6 @@ from .synth import DatasetManifest, SyntheticSceneSpec, make_synthetic_dataset
 log = logging.getLogger("dasr")
 
 _DEFAULTS = TrainConfig()
-# the TrainConfig fields that are ``dasr train`` flags
-_TRAIN_FLAGS = [f for f in fields(TrainConfig) if "help" in f.metadata]
 
 
 def log_level_from_env(value: str | None) -> int:
@@ -67,16 +65,14 @@ def _load_manifest(path: str) -> DatasetManifest:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSceneSpec(count=args.count, extent=args.size,
-                              seed=args.seed)
+    spec = SyntheticSceneSpec(**_flag_values(args, SyntheticSceneSpec))
     make_synthetic_dataset(spec, args.out)
     print(os.path.join(args.out, "manifest.json"))
     return 0
 
 
 def cmd_degrade(args) -> int:
-    spec = DegradationSpec(scale=args.scale, blur_sigma=args.blur_sigma,
-                           noise_sigma=args.noise_sigma, seed=args.seed)
+    spec = DegradationSpec(**_flag_values(args, DegradationSpec))
     os.makedirs(args.out, exist_ok=True)
     for i, name in enumerate(_image_files(args.inp)):
         img = load_image(os.path.join(args.inp, name))
@@ -93,19 +89,11 @@ def _merged_config(args) -> TrainConfig:
     doc = _DEFAULTS.to_dict()
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            file_doc = json.load(fh)
-        unknown = set(file_doc) - set(doc)
-        if unknown:
-            raise ValueError(f"unknown config keys in {args.config}: "
-                             f"{', '.join(sorted(unknown))}")
-        doc.update(file_doc)
-    for f in _TRAIN_FLAGS:
-        val = getattr(args, f.name)
-        if val is not None:
-            doc[f.name] = val
+            doc.update(json.load(fh))
+    doc.update(_flag_values(args, TrainConfig))
     if args.steps is not None:
         doc["steps_stage1" if args.stage == 1 else "steps_stage2"] = args.steps
-    return TrainConfig.from_dict(doc)
+    return TrainConfig.from_dict(doc, args.config)
 
 
 def cmd_train(args) -> int:
@@ -261,9 +249,37 @@ def _float_list(value: str) -> list[float]:
             f"expected comma-separated numbers, got {value!r}") from None
 
 
-# argparse type of each TrainConfig field annotation
+# argparse type of each settings field annotation
 _ARG_TYPES = {"int": int, "float": float, "str": str, "bool": _onoff,
               "Optional[list[float]]": _float_list}
+
+
+def _add_flags(parser: argparse.ArgumentParser, spec_cls) -> None:
+    """One flag per field of ``spec_cls`` that has help text (see
+    ``dasr.spec``): ``--name-with-dashes`` or the ``flag`` entry, parsed by
+    the field's type and limited to its ``choices``; the help gets the
+    default appended unless it is None. An unset flag parses to None."""
+    for f in fields(spec_cls):
+        meta = f.metadata
+        if not meta.get("help"):
+            continue
+        kind = _ARG_TYPES[f.type]
+        help_text = meta["help"]
+        if f.default is not None:
+            default = f.default
+            if kind is _onoff:
+                default = "on" if default else "off"
+            help_text += f" (default: {default})"
+        parser.add_argument(
+            meta.get("flag", "--" + f.name.replace("_", "-")), dest=f.name,
+            type=kind, choices=meta.get("choices"),
+            metavar="{on,off}" if kind is _onoff else None, help=help_text)
+
+
+def _flag_values(args, spec_cls) -> dict:
+    """The fields of ``spec_cls`` set by flags on the command line."""
+    return {f.name: v for f in fields(spec_cls)
+            if (v := getattr(args, f.name, None)) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,12 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="generate an aligned IR/visible "
                                       "synthetic dataset")
-    sp.add_argument("--count", type=int, default=8,
-                    help="number of pairs (default: 8)")
-    sp.add_argument("--size", type=int, default=96,
-                    help="HR extent in pixels (default: 96)")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="scene seed (default: 0)")
+    _add_flags(sp, SyntheticSceneSpec)
     sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(fn=cmd_synth)
 
@@ -289,14 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--in", dest="inp", required=True,
                     help="input image directory")
     dp.add_argument("--out", required=True, help="output directory")
-    dp.add_argument("--scale", type=int, default=2, choices=(2, 4),
-                    help="downscale factor (default: 2)")
-    dp.add_argument("--blur-sigma", type=float, default=0.0,
-                    help="Gaussian blur sigma, 0 disables (default: 0)")
-    dp.add_argument("--noise-sigma", type=float, default=0.0,
-                    help="additive noise sigma, 0 disables (default: 0)")
-    dp.add_argument("--seed", type=int, default=0,
-                    help="noise seed (default: 0)")
+    _add_flags(dp, DegradationSpec)
     dp.set_defaults(fn=cmd_degrade)
 
     tp = sub.add_parser("train", help="run stage-1 or stage-2 training")
@@ -311,19 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"training steps (default: "
                          f"{_DEFAULTS.steps_stage1} stage 1, "
                          f"{_DEFAULTS.steps_stage2} stage 2)")
-    for f in _TRAIN_FLAGS:
-        meta = f.metadata
-        kind = _ARG_TYPES[f.type]
-        help_text = meta["help"]
-        if f.default is not None:
-            default = f.default
-            if kind is _onoff:
-                default = "on" if default else "off"
-            help_text += f" (default: {default})"
-        tp.add_argument(meta.get("flag", "--" + f.name.replace("_", "-")),
-                        dest=f.name, type=kind, choices=meta.get("choices"),
-                        metavar="{on,off}" if kind is _onoff else None,
-                        help=help_text)
+    _add_flags(tp, TrainConfig)
     tp.set_defaults(fn=cmd_train)
 
     ep = sub.add_parser("eval", help="evaluate a checkpoint against a "

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import pngio
 from .rng import generator
+from .spec import SCALES, Spec, opt
 
 SOBEL_H = np.array([[-1.0, 0.0, 1.0],
                     [-2.0, 0.0, 2.0],
@@ -74,19 +75,13 @@ class SobelMap:
 
 
 @dataclass
-class DegradationSpec:
+class DegradationSpec(Spec):
     """How HR images are turned into LR: blur -> bicubic /scale -> noise."""
 
-    scale: int = 2
-    blur_sigma: float = 0.0
-    noise_sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.scale not in (2, 4):
-            raise ValueError(f"scale must be 2 or 4, got {self.scale}")
-        if self.blur_sigma < 0 or self.noise_sigma < 0:
-            raise ValueError("degradation sigmas must be >= 0")
+    scale: int = opt(2, "downscale factor", choices=SCALES)
+    blur_sigma: float = opt(0.0, "Gaussian blur sigma, 0 disables", ge=0)
+    noise_sigma: float = opt(0.0, "additive noise sigma, 0 disables", ge=0)
+    seed: int = opt(0, "noise seed")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 from . import tensor as T
 from .imaging import Image, SOBEL_H, SOBEL_V, bicubic_resize
 from .rng import generator
+from .spec import SCALES, Spec, opt
 from .tensor import Parameter, Tensor
 
 LRELU_SLOPE = 0.2
@@ -28,30 +29,20 @@ PRIOR_DEPTHS = ("shallow", "middle", "deep")
 
 
 @dataclass
-class GeneratorConfig:
-    n_blocks: int = 4
+class GeneratorConfig(Spec):
+    n_blocks: int = opt(4, ge=1)
     base_channels: int = 32
     growth_channels: int = 16
-    scale: int = 2
-    residual_scale: float = 0.2
-
-    def __post_init__(self):
-        if self.n_blocks < 1:
-            raise ValueError(f"n_blocks must be >= 1, got {self.n_blocks}")
-        if self.scale not in (2, 4):
-            raise ValueError(f"scale must be 2 or 4, got {self.scale}")
-        if not 0.0 <= self.residual_scale <= 1.0:
-            raise ValueError(
-                f"residual_scale must be in [0,1], got {self.residual_scale}")
+    scale: int = opt(2, choices=SCALES)
+    residual_scale: float = opt(0.2, ge=0, le=1)
 
 
-def desk_generator_config(scale: int = 2) -> GeneratorConfig:
-    return GeneratorConfig(scale=scale)
-
-
-def paper_scale_generator_config(scale: int = 2) -> GeneratorConfig:
-    return GeneratorConfig(n_blocks=23, base_channels=64, growth_channels=32,
-                           scale=scale)
+# TrainConfig.preset -> the GeneratorConfig fields it sets
+GENERATOR_PRESETS = {
+    "desk": {},
+    "paper-scale": {"n_blocks": 23, "base_channels": 64,
+                    "growth_channels": 32},
+}
 
 
 class Model:

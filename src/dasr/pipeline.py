@@ -12,9 +12,8 @@ produce byte-identical checkpoints and logs.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,15 +24,13 @@ from .imaging import (Image, add_gaussian_noise, bicubic_resize,
                       random_paired_crop, save_image, to_luma)
 from .losses import LossBreakdown
 from .metrics import BenchRow, evaluate_set
-from .models import (DiscSpre, DiscTrans, FeatureExtractor, Generator,
-                     PRIOR_DEPTHS, desk_generator_config,
-                     paper_scale_generator_config)
+from .models import (GENERATOR_PRESETS, PRIOR_DEPTHS, DiscSpre, DiscTrans,
+                     FeatureExtractor, Generator, GeneratorConfig)
 from .optim import AdamState, adam_step, clip_grad_norm
 from .rng import derive_seed, generator
+from .spec import SCALES, Spec, opt
 from .synth import DatasetManifest
 from .tensor import Tensor
-
-PRESETS = ("desk", "paper-scale")
 
 # far above every real run, low enough that a typo cannot ask numpy for
 # hundreds of GiB before the first step
@@ -41,105 +38,42 @@ MAX_BATCH = 1024
 MAX_LR_CROP = 1024
 
 
-def _opt(default, text: str, **extra):
-    """A field that ``dasr train`` exposes as a flag; see TrainConfig."""
-    return field(default=default, metadata={"help": text, **extra})
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:
-    """No inf or nan in a number or a list of numbers."""
-    return all(abs(x) < math.inf for x in (v if isinstance(v, list) else [v]))
-
-
-# field annotation -> (what the error message says, check)
-_TYPE_CHECKS = {
-    "int": ("int", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": ("float", _is_number),
-    "bool": ("bool", lambda v: isinstance(v, bool)),
-    "str": ("str", lambda v: isinstance(v, str)),
-    "Optional[list[float]]": (
-        "None or a list of numbers",
-        lambda v: v is None or (isinstance(v, list)
-                                and all(_is_number(x) for x in v))),
-}
-
-
 @dataclass
-class TrainConfig:
+class TrainConfig(Spec):
     """Every training setting. ``dasr train`` builds its flags from the
-    fields made with ``_opt``: ``--name-with-dashes`` (or the ``flag``
-    entry), parsed by the field's type and limited to ``choices``; the help
-    text gets the default appended unless it is None. The step counts are
-    set through ``--steps`` instead."""
+    fields with help text (see ``dasr.spec``); the step counts are set
+    through ``--steps`` instead."""
 
-    scale: int = _opt(2, "upscaling factor", choices=(2, 4))
-    lr: float = _opt(1e-5, "learning rate")
-    beta1: float = _opt(0.9, "Adam beta1")
-    beta2: float = _opt(0.999, "Adam beta2")
-    eps: float = _opt(1e-8, "Adam epsilon")
-    batch: int = _opt(4, "batch size")
-    lr_crop: int = _opt(64, "LR crop size")
-    steps_stage1: int = 1000
-    steps_stage2: int = 1000
-    alpha: float = _opt(0.1, "noise loss weight")
-    beta: float = _opt(1.0, "texture prior loss weight")
-    prior_depth: str = _opt("middle", "feature tap depth",
-                            choices=PRIOR_DEPTHS)
-    trans_mode: str = _opt("prior-branch", "texture loss mode",
-                           choices=losses.TRANS_MODES)
-    noise_sigma: float = _opt(0.1, "noise pattern sigma")
-    adv_enabled: bool = _opt(True, "adversarial generator term",
-                             flag="--adv")
-    seed: int = _opt(0, "run seed")
-    preset: str = _opt("desk", "generator preset", choices=PRESETS)
-    prior_blocks: int = _opt(2, "texture-prior branch blocks")
-    grad_clip: float = _opt(1.0, "global grad-norm clip, 0 disables")
-    ir_replay: bool = _opt(True, "stage-2 IR replay batches")
-    init_trans_from_spre: bool = _opt(
+    scale: int = opt(2, "upscaling factor", choices=SCALES)
+    lr: float = opt(1e-5, "learning rate", gt=0)
+    beta1: float = opt(0.9, "Adam beta1", ge=0, lt=1)
+    beta2: float = opt(0.999, "Adam beta2", ge=0, lt=1)
+    eps: float = opt(1e-8, "Adam epsilon", gt=0)
+    batch: int = opt(4, "batch size", ge=1, le=MAX_BATCH)
+    lr_crop: int = opt(64, "LR crop size", ge=1, le=MAX_LR_CROP)
+    steps_stage1: int = opt(1000, ge=0)
+    steps_stage2: int = opt(1000, ge=0)
+    alpha: float = opt(0.1, "noise loss weight", ge=0)
+    beta: float = opt(1.0, "texture prior loss weight", ge=0)
+    prior_depth: str = opt("middle", "feature tap depth",
+                           choices=PRIOR_DEPTHS)
+    trans_mode: str = opt("prior-branch", "texture loss mode",
+                          choices=losses.TRANS_MODES)
+    noise_sigma: float = opt(0.1, "noise pattern sigma", ge=0)
+    adv_enabled: bool = opt(True, "adversarial generator term",
+                            flag="--adv")
+    seed: int = opt(0, "run seed")
+    preset: str = opt("desk", "generator preset",
+                      choices=tuple(GENERATOR_PRESETS))
+    prior_blocks: int = opt(2, "texture-prior branch blocks")
+    grad_clip: float = opt(1.0, "global grad-norm clip, 0 disables")
+    ir_replay: bool = opt(True, "stage-2 IR replay batches")
+    init_trans_from_spre: bool = opt(
         False, "seed the texture discriminator's main branch from the "
                "stage-1 discriminator")
-    feature_weights: Optional[list[float]] = _opt(
+    feature_weights: Optional[list[float]] = opt(
         None, "comma-separated per-stage noise-loss weights (default: "
-              "one-hot at --prior-depth)")
-
-    def __post_init__(self):
-        for f in fields(self):
-            choices = f.metadata.get("choices")
-            value = getattr(self, f.name)
-            kind, ok = _TYPE_CHECKS[f.type]
-            if not ok(value):
-                raise ValueError(f"{f.name} must be {kind}, "
-                                 f"got {type(value).__name__}")
-            if choices is not None and value not in choices:
-                raise ValueError(f"{f.name} must be one of {choices}, "
-                                 f"got {value!r}")
-            if "float" in f.type and value is not None \
-                    and not _is_finite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        for name, ok, rule in (
-                ("lr", self.lr > 0, "> 0"),
-                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-                ("eps", self.eps > 0, "> 0"),
-                ("alpha", self.alpha >= 0, ">= 0"),
-                ("beta", self.beta >= 0, ">= 0"),
-                ("noise_sigma", self.noise_sigma >= 0, ">= 0"),
-                ("feature_weights",
-                 all(v >= 0 for v in self.feature_weights or ()),
-                 ">= 0 in every entry"),
-                ("batch", 1 <= self.batch <= MAX_BATCH,
-                 f"in [1, {MAX_BATCH}]"),
-                ("lr_crop", 1 <= self.lr_crop <= MAX_LR_CROP,
-                 f"in [1, {MAX_LR_CROP}]"),
-                ("steps_stage1", self.steps_stage1 >= 0, ">= 0"),
-                ("steps_stage2", self.steps_stage2 >= 0, ">= 0")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, "
-                                 f"got {getattr(self, name)}")
+              "one-hot at --prior-depth)", ge=0)
 
     def hr_crop(self) -> int:
         return self.scale * self.lr_crop
@@ -147,20 +81,10 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(doc: dict) -> "TrainConfig":
-        known = {f.name for f in fields(TrainConfig)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(
-                f"unknown config keys: {', '.join(sorted(unknown))}")
-        return TrainConfig(**doc)
-
 
 def build_generator(config: TrainConfig) -> Generator:
-    gen_cfg = (paper_scale_generator_config(config.scale)
-               if config.preset == "paper-scale"
-               else desk_generator_config(config.scale))
+    gen_cfg = GeneratorConfig(scale=config.scale,
+                              **GENERATOR_PRESETS[config.preset])
     return Generator(gen_cfg, seed=derive_seed(config.seed, "init.gen"))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -20,23 +20,22 @@ import numpy as np
 from .imaging import (DegradationSpec, Image, degrade, gaussian_blur,
                       load_image, save_image, sobel_map)
 from .rng import derive_seed, generator
+from .spec import Spec, opt
+
+
+# scene content: rectangles and gratings per scene, the IR blur, and the
+# amplitude of the visible image's fine texture
+N_RECTS = 3
+N_GRATINGS = 2
+IR_BLUR_SIGMA = 0.8
+VIS_TEXTURE_AMP = 0.08
 
 
 @dataclass
-class SyntheticSceneSpec:
-    count: int = 8
-    extent: int = 96
-    seed: int = 0
-    n_rects: int = 3
-    n_gratings: int = 2
-    ir_blur_sigma: float = 0.8
-    vis_texture_amp: float = 0.08
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.extent < 16:
-            raise ValueError(f"extent must be >= 16, got {self.extent}")
+class SyntheticSceneSpec(Spec):
+    count: int = opt(8, "number of pairs", ge=1)
+    extent: int = opt(96, "HR extent in pixels", flag="--size", ge=16)
+    seed: int = opt(0, "scene seed")
 
 
 @dataclass
@@ -56,13 +55,10 @@ class DatasetManifest:
         return self.degradation.scale
 
     def save(self, path: str) -> None:
+        degradation = asdict(self.degradation)
         doc = {
-            "scale": self.scale,
-            "degradation": {
-                "blur_sigma": self.degradation.blur_sigma,
-                "noise_sigma": self.degradation.noise_sigma,
-                "seed": self.degradation.seed,
-            },
+            "scale": degradation.pop("scale"),
+            "degradation": degradation,
             "entries": [
                 {"ir": e.ir, **({"vis": e.vis} if e.vis else {})}
                 for e in self.entries
@@ -74,23 +70,31 @@ class DatasetManifest:
 
     @staticmethod
     def load(path: str) -> "DatasetManifest":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        for key in ("scale", "entries"):
-            if key not in doc:
-                raise ValueError(f"{path}: manifest has no {key!r} key")
-        for i, e in enumerate(doc["entries"]):
-            if not isinstance(e, dict) or "ir" not in e:
-                raise ValueError(f"{path}: manifest entry {i} has no 'ir' "
-                                 f"key")
-        deg = doc.get("degradation", {})
+        """Read a manifest; any malformed content raises ValueError
+        naming ``path``."""
+        try:  # JSON, UTF-8 and content errors all get the path
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError("manifest must be a JSON object")
+            for key in ("scale", "entries"):
+                if key not in doc:
+                    raise ValueError(f"manifest has no {key!r} key")
+            if not isinstance(doc["entries"], list):
+                raise ValueError("manifest 'entries' must be a list")
+            for i, e in enumerate(doc["entries"]):
+                if not isinstance(e, dict) or "ir" not in e:
+                    raise ValueError(f"manifest entry {i} has no 'ir' key")
+                if not isinstance(e["ir"], str) \
+                        or not isinstance(e.get("vis"), (str, type(None))):
+                    raise ValueError(f"manifest entry {i}: 'ir' and 'vis' "
+                                     f"must be strings")
+            degradation = replace(DegradationSpec.from_dict(
+                doc.get("degradation", {}), "degradation"), scale=doc["scale"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return DatasetManifest(
-            degradation=DegradationSpec(
-                scale=int(doc["scale"]),
-                blur_sigma=float(deg.get("blur_sigma", 0.0)),
-                noise_sigma=float(deg.get("noise_sigma", 0.0)),
-                seed=int(deg.get("seed", 0)),
-            ),
+            degradation=degradation,
             entries=[ManifestEntry(ir=e["ir"], vis=e.get("vis"))
                      for e in doc["entries"]],
             base_dir=os.path.dirname(os.path.abspath(path)),
@@ -128,20 +132,19 @@ def _coords(extent: int) -> tuple[np.ndarray, np.ndarray]:
     return np.meshgrid(ax, ax, indexing="ij")
 
 
-def _base_scene(extent: int, rng: np.random.Generator,
-                spec: SyntheticSceneSpec) -> np.ndarray:
+def _base_scene(extent: int, rng: np.random.Generator) -> np.ndarray:
     yy, xx = _coords(extent)
     theta = rng.uniform(0, 2 * np.pi)
     scene = 0.6 * (np.cos(theta) * xx + np.sin(theta) * yy)
 
-    for _ in range(spec.n_rects):
+    for _ in range(N_RECTS):
         y0, x0 = rng.uniform(0, 0.7, size=2)
         hgt, wid = rng.uniform(0.15, 0.4, size=2)
         val = rng.uniform(-0.5, 0.5)
         mask = ((yy >= y0) & (yy < y0 + hgt) & (xx >= x0) & (xx < x0 + wid))
         scene = scene + val * mask
 
-    for _ in range(spec.n_gratings):
+    for _ in range(N_GRATINGS):
         freq = rng.uniform(2.0, 6.0)
         phase = rng.uniform(0, 2 * np.pi)
         ang = rng.uniform(0, np.pi)
@@ -161,14 +164,14 @@ def _base_scene(extent: int, rng: np.random.Generator,
 def render_pair(spec: SyntheticSceneSpec, idx: int) -> tuple[Image, Image]:
     """One aligned (ir, vis) pair at HR extents."""
     rng = generator(spec.seed, "scene", idx)
-    base = _base_scene(spec.extent, rng, spec)
+    base = _base_scene(spec.extent, rng)
 
     # IR: luminance remap plus mild blur -> softer edges, 1 channel
     gamma = rng.uniform(0.7, 1.4)
     gain = rng.uniform(0.75, 0.95)
     lift = rng.uniform(0.02, 0.1)
     ir = Image(np.clip(lift + gain * base ** gamma, 0.0, 1.0)[:, :, None])
-    ir = gaussian_blur(ir, spec.ir_blur_sigma)
+    ir = gaussian_blur(ir, IR_BLUR_SIGMA)
 
     # visible: colorized channels plus fine high-frequency texture
     yy, xx = _coords(spec.extent)
@@ -181,8 +184,8 @@ def render_pair(spec: SyntheticSceneSpec, idx: int) -> tuple[Image, Image]:
     freq = spec.extent / rng.uniform(3.5, 5.0)
     ang = rng.uniform(0, np.pi)
     fine = np.sin(2 * np.pi * freq * (np.cos(ang) * xx + np.sin(ang) * yy))
-    vis = vis + spec.vis_texture_amp * fine[:, :, None]
-    vis = vis + rng.normal(0.0, 0.35 * spec.vis_texture_amp,
+    vis = vis + VIS_TEXTURE_AMP * fine[:, :, None]
+    vis = vis + rng.normal(0.0, 0.35 * VIS_TEXTURE_AMP,
                            size=vis.shape)
     return ir, Image(np.clip(vis, 0.0, 1.0))
 

@@ -1,5 +1,6 @@
 """Command-line behavior: flags, outputs, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 from dasr.cli import _merged_config, build_parser, main
-from dasr.imaging import Image, load_image, save_image, sobel_map
+from dasr.imaging import (DegradationSpec, Image, load_image, save_image,
+                          sobel_map)
 from dasr.pipeline import TrainConfig
+from dasr.synth import SyntheticSceneSpec
 
 
 def run(args):
@@ -86,7 +89,38 @@ class TestHelpAndUsage:
         assert f"default: {cfg.prior_depth}" in text  # middle
         assert (cfg.lr, cfg.lr_crop, cfg.alpha, cfg.beta,
                 cfg.prior_depth) == (1e-5, 64, 0.1, 1.0, "middle")
+        # every subcommand built from a settings class keeps exactly its
+        # flags, and each generated flag's help shows its field's default
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        for cmd, spec_cls in (("synth", SyntheticSceneSpec),
+                              ("degrade", DegradationSpec),
+                              ("train", TrainConfig)):
+            actions = commands[cmd]._actions
+            assert {s for a in actions
+                    for s in a.option_strings} == SUBCOMMAND_OPTIONS[cmd]
+            helps = {a.dest: a.help for a in actions}
+            for f in fields(spec_cls):
+                if f.metadata.get("help") and f.default is not None:
+                    shown = (("on" if f.default else "off")
+                             if f.type == "bool" else f.default)
+                    assert helps[f.name].endswith(f"(default: {shown})")
 
+
+# the option strings of each subcommand whose flags come from a settings
+# class; a new field with help text would add one
+SUBCOMMAND_OPTIONS = {
+    "synth": {"-h", "--help", "--count", "--size", "--seed", "--out"},
+    "degrade": {"-h", "--help", "--in", "--out", "--scale", "--blur-sigma",
+                "--noise-sigma", "--seed"},
+    "train": {"-h", "--help", "--stage", "--data", "--config", "--ckpt-in",
+              "--ckpt-out", "--log", "--steps", "--scale", "--lr", "--beta1",
+              "--beta2", "--eps", "--batch", "--lr-crop", "--alpha", "--beta",
+              "--prior-depth", "--trans-mode", "--noise-sigma", "--adv",
+              "--seed", "--preset", "--prior-blocks", "--grad-clip",
+              "--ir-replay", "--init-trans-from-spre", "--feature-weights"},
+}
 
 # a non-default command-line value for every flagged TrainConfig field, and
 # the value it must set
@@ -184,7 +218,7 @@ class TestDegrade:
         assert means[0] > means[1] > means[2]
 
     def test_odd_extent_matches_imaging_degrade(self, tmp_path):
-        from dasr.imaging import DegradationSpec, degrade, quantize8
+        from dasr.imaging import degrade, quantize8
         rng = np.random.default_rng(8)
         src = tmp_path / "in"
         src.mkdir()
@@ -203,6 +237,28 @@ class TestDegrade:
             got = load_image(os.path.join(out, name))
             assert (got.height, got.width) == (24, 25)
             assert np.array_equal(quantize8(got), quantize8(want))
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--noise-sigma", "nan", "noise_sigma"),
+        ("--blur-sigma", "inf", "blur_sigma"),
+    ])
+    def test_non_finite_sigma_refused(self, dataset_dir, tmp_path, capsys,
+                                      flag, value, field):
+        out = tmp_path / "lr"
+        assert run(["degrade", "--in", os.path.join(dataset_dir, "ir"),
+                    "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {field} must be finite, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make, msg", [
+        (lambda: DegradationSpec(scale=4.0), "scale must be int, got float"),
+        (lambda: SyntheticSceneSpec(count=True),
+         "count must be int, got bool"),
+    ], ids=["degradation-scale-float", "scene-count-bool"])
+    def test_spec_value_of_wrong_type_raises(self, make, msg):
+        with pytest.raises(ValueError, match=msg):
+            make()
 
     def test_zero_sigmas_is_pure_bicubic(self, dataset_dir, tmp_path):
         from dasr.imaging import bicubic_resize

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from dasr import tensor as T
-from dasr.models import (DiscSpre, DiscTrans, FeatureExtractor, Generator,
-                         GeneratorConfig, desk_generator_config,
-                         paper_scale_generator_config)
+from dasr.models import (GENERATOR_PRESETS, DiscSpre, DiscTrans,
+                         FeatureExtractor, Generator, GeneratorConfig)
 from dasr.optim import AdamState, adam_step
 from dasr.tensor import Tensor
 
 # pinned so a refactor cannot silently change the architecture
 DESK_GENERATOR_PARAMS = 766_849
+DESK_CONFIG = GeneratorConfig(scale=2, **GENERATOR_PRESETS["desk"])
 
 
 def tiny_config(scale=2, residual_scale=0.2):
@@ -24,7 +24,7 @@ class TestGenerator:
         # the output conv is zero-initialized, so the learned path
         # contributes exactly nothing and the skip alone remains
         from dasr.imaging import Image, bicubic_resize
-        gen = Generator(desk_generator_config(2), seed=1)
+        gen = Generator(DESK_CONFIG, seed=1)
         rng = np.random.default_rng(0)
         lr = rng.random((1, 1, 8, 8)).astype(np.float32)
         out = gen(Tensor(lr))
@@ -33,7 +33,7 @@ class TestGenerator:
         assert np.array_equal(out.data[0, 0], want)
 
     def test_learned_path_of_fresh_generator_is_zero(self):
-        gen = Generator(desk_generator_config(2), seed=1)
+        gen = Generator(DESK_CONFIG, seed=1)
         rng = np.random.default_rng(3)
         lr = Tensor(rng.random((1, 1, 8, 8)))
         out = gen(lr)
@@ -75,13 +75,13 @@ class TestGenerator:
         assert wins == 5
 
     def test_param_count_regression_guard(self):
-        gen = Generator(desk_generator_config(2), seed=5)
+        gen = Generator(DESK_CONFIG, seed=5)
         assert gen.param_count() == DESK_GENERATOR_PARAMS
-        again = Generator(desk_generator_config(2), seed=99)
+        again = Generator(DESK_CONFIG, seed=99)
         assert again.param_count() == DESK_GENERATOR_PARAMS
 
     def test_paper_scale_preset_has_23_blocks(self):
-        cfg = paper_scale_generator_config(2)
+        cfg = GeneratorConfig(scale=2, **GENERATOR_PRESETS["paper-scale"])
         assert cfg.n_blocks == 23
         assert cfg.base_channels == 64
 

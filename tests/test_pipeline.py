@@ -15,7 +15,8 @@ import pytest
 from dasr import checkpoint, pipeline, tensor as T
 from dasr.checkpoint import (Checkpoint, CheckpointError, checkpoint_bytes,
                              load_checkpoint, save_checkpoint)
-from dasr.imaging import DegradationSpec, Image, save_image, sobel_map
+from dasr.imaging import (DegradationSpec, Image, load_image, save_image,
+                          sobel_map)
 from dasr.metrics import evaluate_set
 from dasr.pngio import (ImageFormatError, read_png, read_pnm, write_png,
                         write_pnm)
@@ -430,6 +431,35 @@ class TestEvaluate:
         assert np.array_equal(tiled.array, again.array)
 
 
+class TestScale4EndToEnd:
+    def test_train_both_stages_and_evaluate_at_x4(self, tmp_path):
+        data = make_synthetic_dataset(
+            SyntheticSceneSpec(count=2, extent=48, seed=21),
+            str(tmp_path / "data"), degradation=DegradationSpec(scale=4))
+        cfg = small_config(scale=4, lr_crop=6, batch=1, steps_stage1=2,
+                           steps_stage2=2)
+        logs = [str(tmp_path / "s1.csv"), str(tmp_path / "s2.csv")]
+        s1 = train_stage1(data, cfg, log_path=logs[0])
+        s2 = train_stage2(s1, data, cfg, log_path=logs[1])
+        for log in logs:
+            rows = open(log).read().splitlines()[1:]
+            assert len(rows) == 2
+            values = [float(v) for row in rows for v in row.split(",")]
+            assert all(math.isfinite(v) for v in values)
+        model_row, _ = evaluate_checkpoint(s2, data,
+                                           out_dir=str(tmp_path / "sr"))
+        assert (model_row.scale, model_row.count) == (4, 2)
+        assert math.isfinite(model_row.psnr)
+        for i in range(2):
+            lr = data.lr_for(data.load_hr_pair(i)[0], i, "ir-noise")
+            sr = load_image(str(tmp_path / "sr" / f"{i:04d}_sr.png"))
+            assert (sr.height, sr.width) == (4 * lr.height, 4 * lr.width)
+        path = tmp_path / "s2.dasr"
+        save_checkpoint(s2, str(path))
+        gen, config = generator_from_checkpoint(load_checkpoint(str(path)))
+        assert config.scale == gen.config.scale == 4
+
+
 class _CountingGenerator:
     """Forwards to a generator and records the shape of every input."""
 
@@ -568,6 +598,68 @@ class TestReaderFuzz:
                 read(str(path))
             except error:
                 pass
+
+
+def _write_manifest(path) -> None:
+    DatasetManifest(
+        degradation=DegradationSpec(scale=4, blur_sigma=0.5,
+                                    noise_sigma=0.02, seed=3),
+        entries=[ManifestEntry(ir="ir/0.png", vis="vis/0.png"),
+                 ManifestEntry(ir="ir/1.png")]).save(str(path))
+
+
+class TestManifestFuzz:
+    def test_truncations_and_bit_flips_load_or_name_the_path(self,
+                                                             tmp_path):
+        path = tmp_path / "manifest.json"
+        _write_manifest(path)
+        blob = path.read_bytes()
+        rng = np.random.default_rng(17)
+        cases = [blob[:n] for n in range(len(blob))]
+        for _ in range(400):
+            flipped = bytearray(blob)
+            flipped[rng.integers(len(blob))] ^= 1 << int(rng.integers(8))
+            cases.append(bytes(flipped))
+        for case in cases:
+            path.write_bytes(case)
+            try:
+                DatasetManifest.load(str(path))
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("edit, msg", [
+        (lambda d: d.update(scale=2.7), "scale must be int, got float"),
+        (lambda d: d.update(scale=None), "scale must be int, got NoneType"),
+        (lambda d: d.update(scale=3), "scale must be one of (2, 4), got 3"),
+        (lambda d: d["degradation"].update(seed=1.5),
+         "seed must be int, got float"),
+        (lambda d: d["degradation"].update(seed=True),
+         "seed must be int, got bool"),
+        (lambda d: d["degradation"].update(noise_sigma=math.nan),
+         "noise_sigma must be finite, got nan"),
+        (lambda d: d["degradation"].update(blur_sigma=-1.0),
+         "blur_sigma must be >= 0, got -1.0"),
+        (lambda d: d["degradation"].update(warp=1),
+         "unknown config keys in degradation: warp"),
+        (lambda d: d.update(degradation=[]),
+         "degradation must be a JSON object, got list"),
+        (lambda d: d["entries"][0].update(ir=5),
+         "manifest entry 0: 'ir' and 'vis' must be strings"),
+        (lambda d: d.update(entries={}), "manifest 'entries' must be a list"),
+    ], ids=["scale-float", "scale-null", "scale-3", "seed-float",
+            "seed-bool", "noise-sigma-nan", "blur-sigma-negative",
+            "degradation-unknown-key", "degradation-list", "ir-int",
+            "entries-object"])
+    def test_malformed_value_is_refused_naming_the_path(self, tmp_path,
+                                                        edit, msg):
+        path = tmp_path / "manifest.json"
+        _write_manifest(path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            DatasetManifest.load(str(path))
+        assert str(exc.value) == f"{path}: {msg}"
 
 
 class TestManifestRoundTrip:

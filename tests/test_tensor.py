@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from dasr import tensor as T
-from dasr.models import Generator, desk_generator_config
+from dasr.models import GENERATOR_PRESETS, Generator, GeneratorConfig
 from dasr.tensor import Tensor
+
+DESK_CONFIG = GeneratorConfig(scale=2, **GENERATOR_PRESETS["desk"])
 
 
 def conv_oracle(x, w, b, stride, pad):
@@ -385,7 +387,7 @@ def builds_graph() -> bool:
 
 class TestNoGrad:
     def test_generator_forward_bitwise_equal_and_graphless(self):
-        gen = Generator(desk_generator_config(2), seed=3)
+        gen = Generator(DESK_CONFIG, seed=3)
         x = Tensor(np.random.default_rng(3).random((2, 1, 10, 10)))
         ref = gen(x)
         ref_mean = T.mean(ref)
@@ -429,7 +431,7 @@ class TestNoGrad:
 class TestGraphLifetime:
     def test_generator_graph_freed_by_reference_counting(self):
         # a reference cycle would leave the graph to the cyclic collector
-        gen = Generator(desk_generator_config(2), seed=1)
+        gen = Generator(DESK_CONFIG, seed=1)
         x = Tensor(np.random.default_rng(1).random((1, 1, 12, 12)))
         gc.collect()
         gc.disable()
