@@ -26,6 +26,7 @@ from .metrics import (BenchRow, MetricReport, bench_csv, bench_markdown,
                       evaluate_set, mean_report, metric_report)
 from .pipeline import (TrainConfig, evaluate_checkpoint, train_stage1,
                        train_stage2)
+from .spec import json_object
 from .synth import DatasetManifest, SyntheticSceneSpec, make_synthetic_dataset
 
 log = logging.getLogger("dasr")
@@ -88,8 +89,12 @@ def _merged_config(args) -> TrainConfig:
     """Built-in defaults, then --config file values, then explicit flags."""
     doc = _DEFAULTS.to_dict()
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            doc.update(json.load(fh))
+        try:  # JSON and UTF-8 errors get the path, as a manifest's do
+            with open(args.config, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
+        doc.update(json_object(loaded, args.config))
     doc.update(_flag_values(args, TrainConfig))
     if args.steps is not None:
         doc["steps_stage1" if args.stage == 1 else "steps_stage2"] = args.steps

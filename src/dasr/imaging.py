@@ -62,14 +62,6 @@ class SobelMap:
 
     array: np.ndarray
 
-    @property
-    def height(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.array.shape[1]
-
     def mean(self) -> float:
         return float(self.array.mean())
 
@@ -218,6 +210,13 @@ def add_gaussian_noise(img: Image, sigma: float, seed: int) -> Image:
     return Image(np.clip(img.array + noise, 0.0, 1.0))
 
 
+def correlate_valid(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid 2-D cross-correlation over the last two axes of ``x``; reads
+    the windows as a view, so no array of window copies is built."""
+    win = np.lib.stride_tricks.sliding_window_view(x, kernel.shape, (-2, -1))
+    return np.einsum("...hwij,ij->...hw", win, kernel)
+
+
 def sobel_map(img: Image) -> SobelMap:
     """Valid-region Sobel magnitude sqrt((Gh*I)^2 + (Gv*I)^2).
 
@@ -228,9 +227,8 @@ def sobel_map(img: Image) -> SobelMap:
     if gray.shape[0] < 3 or gray.shape[1] < 3:
         raise ValueError(
             f"sobel_map: image {gray.shape[0]}x{gray.shape[1]} smaller than 3x3")
-    windows = np.lib.stride_tricks.sliding_window_view(gray, (3, 3))
-    gh = np.einsum("hwij,ij->hw", windows, SOBEL_H)
-    gv = np.einsum("hwij,ij->hw", windows, SOBEL_V)
+    gh = correlate_valid(gray, SOBEL_H)
+    gv = correlate_valid(gray, SOBEL_V)
     return SobelMap(np.sqrt(gh * gh + gv * gv))
 
 

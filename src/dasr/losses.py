@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .imaging import SOBEL_H, SOBEL_V
+from .imaging import SOBEL_H, SOBEL_V, correlate_valid
 from .tensor import Tensor
 
 TRANS_MODES = ("raw-sobel", "prior-branch")
@@ -68,12 +68,6 @@ def l_adversarial_g(fake_logit: Tensor) -> Tensor:
     return T.mean(T.softplus(T.scale(fake_logit, -1.0)))
 
 
-def _corr_valid_depthwise(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Valid 3x3 cross-correlation per channel on [N,C,H,W], float64."""
-    win = np.lib.stride_tricks.sliding_window_view(x, (3, 3), axis=(2, 3))
-    return np.einsum("nchwij,ij->nchw", win, k)
-
-
 def sobel_l1(pred: Tensor, target: Tensor) -> Tensor:
     """Mean |S_pred - S_target| over the valid region, where S is the Sobel
     edge magnitude sqrt((Gh*I)^2 + (Gv*I)^2).
@@ -94,8 +88,8 @@ def sobel_l1(pred: Tensor, target: Tensor) -> Tensor:
     saved = {}
     for tag, t in (("p", pred), ("t", target)):
         x64 = t.data.astype(np.float64)
-        gh = _corr_valid_depthwise(x64, SOBEL_H)
-        gv = _corr_valid_depthwise(x64, SOBEL_V)
+        gh = correlate_valid(x64, SOBEL_H)
+        gv = correlate_valid(x64, SOBEL_V)
         s = np.sqrt(gh * gh + gv * gv + eps2)
         saved[tag] = (gh, gv, s)
     diff = saved["p"][2] - saved["t"][2]
@@ -111,8 +105,8 @@ def sobel_l1(pred: Tensor, target: Tensor) -> Tensor:
         dgh = dmag * gh / s
         dgv = dmag * gv / s
         pad = ((0, 0), (0, 0), (2, 2), (2, 2))
-        dx = (_corr_valid_depthwise(np.pad(dgh, pad), SOBEL_H[::-1, ::-1])
-              + _corr_valid_depthwise(np.pad(dgv, pad), SOBEL_V[::-1, ::-1]))
+        dx = (correlate_valid(np.pad(dgh, pad), SOBEL_H[::-1, ::-1])
+              + correlate_valid(np.pad(dgv, pad), SOBEL_V[::-1, ::-1]))
         return dx.astype(np.float32)
 
     def backward(g):
@@ -125,14 +119,15 @@ def sobel_l1(pred: Tensor, target: Tensor) -> Tensor:
                    "sobel_l1")
 
 
-def l_trans(pred_img: Tensor, target_img: Tensor, d,
+def l_trans(pred_img: Tensor, target_img: Tensor,
+            pred_prior: Optional[Tensor], target_prior: Optional[Tensor],
             mode: str = "prior-branch") -> Tensor:
     """Texture prior loss between prediction and target.
 
     ``raw-sobel`` compares Sobel magnitudes of the two images directly (the
     literal formula; carries no discriminator parameters). ``prior-branch``
-    compares the prior-branch latents of ``d``, the texture discriminator
-    (``models.DiscTrans``), so the term also trains the discriminator.
+    compares the prior latents v_p that ``models.DiscTrans`` returned for
+    the two images, so the term also trains the discriminator's prior branch.
     """
     if mode not in TRANS_MODES:
         raise ValueError(f"l_trans: mode must be one of {TRANS_MODES}, "
@@ -142,10 +137,9 @@ def l_trans(pred_img: Tensor, target_img: Tensor, d,
             f"l_trans: shape mismatch {pred_img.shape} vs {target_img.shape}")
     if mode == "raw-sobel":
         return sobel_l1(pred_img, target_img)
-    if d is None:
-        raise ValueError("l_trans: prior-branch mode needs a discriminator")
-    return T.reduce_mean_abs_diff(d.prior_branch(pred_img),
-                                  d.prior_branch(target_img))
+    if pred_prior is None or target_prior is None:
+        raise ValueError("l_trans: prior-branch mode needs both prior latents")
+    return T.reduce_mean_abs_diff(pred_prior, target_prior)
 
 
 def l_noise(pred_features: Sequence[Tensor], noise_features: Sequence[Tensor],

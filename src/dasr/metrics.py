@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .imaging import Image, quantize8, to_luma
+from .imaging import Image, correlate_valid, quantize8, to_luma
 
 PSNR_MAX = 255.0
 
@@ -91,13 +91,11 @@ def ssim(hr: Image, sr: Image) -> float:
             f"ssim: image {a.shape[0]}x{a.shape[1]} smaller than the "
             f"{w}x{w} window")
     kern = _gaussian_window(w, SSIM_SIGMA)
-    wa = np.lib.stride_tricks.sliding_window_view(a, (w, w))
-    wb = np.lib.stride_tricks.sliding_window_view(b, (w, w))
-    mu1 = np.einsum("hwij,ij->hw", wa, kern)
-    mu2 = np.einsum("hwij,ij->hw", wb, kern)
-    m11 = np.einsum("hwij,ij->hw", wa * wa, kern)
-    m22 = np.einsum("hwij,ij->hw", wb * wb, kern)
-    m12 = np.einsum("hwij,ij->hw", wa * wb, kern)
+    mu1 = correlate_valid(a, kern)
+    mu2 = correlate_valid(b, kern)
+    m11 = correlate_valid(a * a, kern)
+    m22 = correlate_valid(b * b, kern)
+    m12 = correlate_valid(a * b, kern)
     var1 = m11 - mu1 * mu1
     var2 = m22 - mu2 * mu2
     cov = m12 - mu1 * mu2

@@ -300,8 +300,8 @@ class DiscTrans(_Discriminator):
 
     The prior branch alternates learned valid convs with fixed Sobel filter
     layers, so an edge-free input yields an exactly zero prior latent. Its
-    output v_p is exposed alongside the logit because the texture loss
-    compares prior latents of prediction and target.
+    output v_p is returned alongside the logit; ``losses.l_trans`` compares
+    the v_p of prediction and target, so no image runs the branch twice.
     """
 
     def __init__(self, in_hw: int, seed: int, prior_blocks: int = 2):

@@ -302,16 +302,12 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
     _load_model_tensors(gen, stage1_ckpt, "gen")
     dtrans = build_disc_trans(config)
     if config.init_trans_from_spre:
-        main = {k[len("dspre.main."):]: v for k, v in
-                stage1_ckpt.tensors.items() if k.startswith("dspre.main.")}
-        for name, arr in main.items():
-            full = f"main.{name}"
-            p = dtrans._params.get(full)
-            if p is None or p.shape != arr.shape:
-                raise ValueError(
-                    f"cannot seed texture discriminator from stage 1: "
-                    f"{full!r} missing or shaped differently")
-            p.data = arr.astype(np.float32).copy()
+        # the stage-1 trunk over the texture discriminator's own tensors
+        tensors = dict(dtrans.named_tensors())
+        tensors.update({k[len("dspre."):]: v for k, v in
+                        stage1_ckpt.tensors.items()
+                        if k.startswith("dspre.main.")})
+        dtrans.load_named_tensors(tensors)
     fe = FeatureExtractor()
     w_k = noise_feature_weights(config)
     g_state, d_state = AdamState(), AdamState()
@@ -339,10 +335,11 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
 
         # discriminator step: maximize real/fake separation and the
         # texture-prior distance
-        real_logit, _ = dtrans(hr_t)
-        fake_logit, _ = dtrans(sr_det)
+        real_logit, real_prior = dtrans(hr_t)
+        fake_logit, fake_prior = dtrans(sr_det)
         adv_d = losses.l_adversarial_d(real_logit, fake_logit)
-        trans = losses.l_trans(sr_det, hr_t, dtrans, config.trans_mode)
+        trans = losses.l_trans(sr_det, hr_t, fake_prior, real_prior,
+                               config.trans_mode)
         d_loss = losses.combine_d(adv_d, trans, config.beta)
         _update(dtrans, d_loss, d_state, config, i)
         lb.spre = -adv_d.item()

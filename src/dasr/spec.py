@@ -57,6 +57,14 @@ def _rule(bounds: list[tuple[str, float]]) -> str:
     return f"in {_BOUNDS[lo][0]}{a}, {b}{_BOUNDS[hi][0]}"
 
 
+def json_object(doc, where: Optional[str] = None) -> dict:
+    """``doc`` if it is a JSON object, else a ValueError naming ``where``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where or 'config'} must be a JSON object, "
+                         f"got {type(doc).__name__}")
+    return doc
+
+
 class Spec:
     """Base of the settings dataclasses; see the module docstring."""
 
@@ -86,11 +94,8 @@ class Spec:
     def from_dict(cls, doc: dict, where: Optional[str] = None):
         """The settings a JSON object holds; a key that is not a field is
         refused, naming ``where`` the object came from."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"{where or 'config'} must be a JSON object, "
-                             f"got {type(doc).__name__}")
         place = f" in {where}" if where else ""
-        unknown = set(doc) - {f.name for f in fields(cls)}
+        unknown = set(json_object(doc, where)) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys{place}: "
                              f"{', '.join(sorted(unknown))}")

@@ -20,7 +20,7 @@ import numpy as np
 from .imaging import (DegradationSpec, Image, degrade, gaussian_blur,
                       load_image, save_image, sobel_map)
 from .rng import derive_seed, generator
-from .spec import Spec, opt
+from .spec import Spec, json_object, opt
 
 
 # scene content: rectangles and gratings per scene, the IR blur, and the
@@ -74,9 +74,7 @@ class DatasetManifest:
         naming ``path``."""
         try:  # JSON, UTF-8 and content errors all get the path
             with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ValueError("manifest must be a JSON object")
+                doc = json_object(json.load(fh), "manifest")
             for key in ("scale", "entries"):
                 if key not in doc:
                     raise ValueError(f"manifest has no {key!r} key")

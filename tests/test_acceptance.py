@@ -233,8 +233,10 @@ def test_criterion_06_loss_sign_and_zero_properties():
     for _ in range(50):
         a = Tensor(rng.random((1, 1, 24, 24)))
         b = Tensor(rng.random((1, 1, 24, 24)))
-        ok = ok and l_trans(a, b, disc, "prior-branch").item() >= 0.0
-        ok = ok and l_trans(a, a, disc, "prior-branch").item() == 0.0
+        ok = ok and l_trans(a, b, disc(a)[1], disc(b)[1],
+                             "prior-branch").item() >= 0.0
+        ok = ok and l_trans(a, a, disc(a)[1], disc(a)[1],
+                             "prior-branch").item() == 0.0
     report(6, "noise loss <= 0 (0 iff identical); trans loss >= 0", ok, t0,
            "1000 noise pairs, 1000 raw-sobel, 50 prior-branch")
 

@@ -346,6 +346,23 @@ class TestTrain:
         assert code == 1
         assert "batch must be int, got str" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,reason", [
+        ('{"lr": ', "Expecting value"),
+        ("[1, 2]", "must be a JSON object, got list"),
+    ])
+    def test_malformed_config_file_names_its_path(self, dataset_dir,
+                                                  tmp_path, capsys, text,
+                                                  reason):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(text)
+        code = run(["train", "--stage", "1", "--data", dataset_dir,
+                    "--config", str(cfg_file), "--steps", "0",
+                    "--ckpt-out", str(tmp_path / "x.dasr")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_file}")
+        assert reason in err
+
     def test_non_finite_gradient_stops_the_run(self, dataset_dir, tmp_path,
                                                capsys, monkeypatch):
         from dasr import pipeline, tensor as T

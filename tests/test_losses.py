@@ -96,14 +96,13 @@ class TestTrans:
     def test_zero_for_identical_in_both_modes(self):
         d = self._disc()
         x = Tensor(np.random.default_rng(1).random((1, 1, 32, 32)))
-        assert l_trans(x, x, d, "raw-sobel").item() == 0.0
-        assert l_trans(x, x, d, "prior-branch").item() == 0.0
+        assert l_trans(x, x, None, None, "raw-sobel").item() == 0.0
+        assert l_trans(x, x, d(x)[1], d(x)[1], "prior-branch").item() == 0.0
 
     def test_constants_give_zero_in_raw_mode(self):
-        d = self._disc()
         a = Tensor(np.full((1, 1, 32, 32), 0.2))
         b = Tensor(np.full((1, 1, 32, 32), 0.9))
-        assert l_trans(a, b, d, "raw-sobel").item() == pytest.approx(
+        assert l_trans(a, b, None, None, "raw-sobel").item() == pytest.approx(
             0.0, abs=1e-9)
 
     def test_raw_mode_matches_composed_oracle(self):
@@ -129,17 +128,20 @@ class TestTrans:
         pred = Tensor(rng.random((1, 1, 32, 32)))
         target = Tensor(rng.random((1, 1, 32, 32)))
         d.zero_grad()
-        T.backward(l_trans(pred, target, d, "prior-branch"))
+        T.backward(l_trans(pred, target, d(pred)[1], d(target)[1],
+                           "prior-branch"))
         touched = [p.name for p in d.parameters() if p.grad is not None]
         assert any(name.startswith("prior.conv") for name in touched)
 
     def test_bad_mode_and_shape(self):
-        d = self._disc()
         x = Tensor(np.zeros((1, 1, 32, 32)))
         with pytest.raises(ValueError, match="mode"):
-            l_trans(x, x, d, "fourier")
+            l_trans(x, x, None, None, "fourier")
+        with pytest.raises(ValueError, match="prior latents"):
+            l_trans(x, x, None, None, "prior-branch")
         with pytest.raises(ValueError, match="shape"):
-            l_trans(x, Tensor(np.zeros((1, 1, 16, 16))), d, "raw-sobel")
+            l_trans(x, Tensor(np.zeros((1, 1, 16, 16))), None, None,
+                    "raw-sobel")
         with pytest.raises(ValueError, match="3x3"):
             sobel_l1(Tensor(np.zeros((1, 1, 2, 2))),
                      Tensor(np.zeros((1, 1, 2, 2))))

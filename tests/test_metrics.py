@@ -1,5 +1,7 @@
 """PSNR / MSE / SSIM against independent scalar references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,19 @@ class TestSsim:
     def test_window_size_guard(self):
         with pytest.raises(ValueError, match="window"):
             ssim(Image(np.zeros((8, 8, 1))), Image(np.zeros((8, 8, 1))))
+
+    def test_memory_stays_near_the_image_size(self):
+        # the window sums read windows as views: a 160x160 pair must not
+        # build a window-copy array (121 times the image, 22 MB)
+        rng = np.random.default_rng(6)
+        a, b = rand_img(rng, 160, 160), rand_img(rng, 160, 160)
+        tracemalloc.start()
+        try:
+            ssim(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestBlurDirection:

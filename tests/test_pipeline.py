@@ -225,6 +225,34 @@ class TestStage2:
                 tail = name[len("dspre."):]
                 assert np.array_equal(ck2.tensors[f"dtrans.{tail}"], data)
 
+    def test_init_trans_from_spre_refuses_a_misshaped_tensor(self, dataset,
+                                                            stage1_ckpt):
+        tensors = dict(stage1_ckpt.tensors)
+        tensors["dspre.main.conv0.weight"] = np.zeros((32, 1, 2, 2),
+                                                      np.float32)
+        bad = Checkpoint(stage="stage1", config=stage1_ckpt.config,
+                         tensors=tensors)
+        cfg = small_config(steps_stage2=0, init_trans_from_spre=True)
+        with pytest.raises(ValueError, match="main.conv0.weight"):
+            train_stage2(bad, dataset, cfg)
+
+    def test_one_step_runs_the_prior_branch_once_per_image(
+            self, dataset, stage1_ckpt, monkeypatch):
+        # real, fake and the generator's adversarial pass: the texture
+        # loss reuses the latents of the discriminator step
+        from dasr.models import DiscTrans
+        calls = []
+        inner = DiscTrans.prior_branch
+
+        def counted(self, img):
+            calls.append(img.shape)
+            return inner(self, img)
+
+        monkeypatch.setattr(DiscTrans, "prior_branch", counted)
+        train_stage2(stage1_ckpt, dataset,
+                     small_config(steps_stage2=1, adv_enabled=True))
+        assert len(calls) == 3
+
 
 class TestStepLifetime:
     @pytest.mark.parametrize("stage", [1, 2])
