@@ -176,6 +176,13 @@ def bicubic_resize(img: Image, out_h: int, out_w: int) -> Image:
     return Image(np.clip(out, 0.0, 1.0))
 
 
+def gaussian_kernel(radius: int, sigma: float) -> np.ndarray:
+    """Normalised 1-D Gaussian over the offsets -radius..radius (float64)."""
+    xs = np.arange(-radius, radius + 1, dtype=np.float64)
+    kernel = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
+    return kernel / kernel.sum()
+
+
 def gaussian_blur(img: Image, sigma: float) -> Image:
     """Separable Gaussian, radius ceil(3*sigma), reflect padding at borders."""
     if sigma < 0:
@@ -183,9 +190,7 @@ def gaussian_blur(img: Image, sigma: float) -> Image:
     if sigma == 0:
         return img.copy()
     radius = int(np.ceil(3.0 * sigma))
-    xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
-    kernel /= kernel.sum()
+    kernel = gaussian_kernel(radius, sigma)
 
     arr = img.array
     padded = np.pad(arr, ((radius, radius), (0, 0), (0, 0)), mode="reflect")

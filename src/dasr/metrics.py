@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .imaging import Image, correlate_valid, quantize8, to_luma
+from .imaging import (Image, correlate_valid, gaussian_kernel, quantize8,
+                      to_luma)
 
 PSNR_MAX = 255.0
 
@@ -68,13 +69,6 @@ def psnr(hr: Image, sr: Image) -> float:
     return _psnr_of_mse(mse(hr, sr))
 
 
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
-    xs = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    k = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
-    k /= k.sum()
-    return np.outer(k, k)
-
-
 def ssim(hr: Image, sr: Image) -> float:
     """Structural similarity between two images: the mean of the
     per-window formula over sliding 11x11 Gaussian windows (valid positions
@@ -90,7 +84,8 @@ def ssim(hr: Image, sr: Image) -> float:
         raise ValueError(
             f"ssim: image {a.shape[0]}x{a.shape[1]} smaller than the "
             f"{w}x{w} window")
-    kern = _gaussian_window(w, SSIM_SIGMA)
+    k = gaussian_kernel(w // 2, SSIM_SIGMA)
+    kern = np.outer(k, k)
     mu1 = correlate_valid(a, kern)
     mu2 = correlate_valid(b, kern)
     m11 = correlate_valid(a * a, kern)

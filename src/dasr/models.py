@@ -8,6 +8,7 @@ the optimizer rely on.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from dataclasses import dataclass
 
@@ -80,6 +81,19 @@ class Model:
     def zero_grad(self) -> None:
         for p in self._params.values():
             p.grad = None
+
+    @contextlib.contextmanager
+    def untracked(self):
+        """Hold the trainable parameters as constants inside the block; ops
+        read the flag in backward too, so the block spans the backward."""
+        params = self.parameters()
+        for p in params:
+            p.requires_grad = False
+        try:
+            yield
+        finally:
+            for p in params:
+                p.requires_grad = True
 
     def param_count(self) -> int:
         return sum(p.size for p in self._params.values() if not p.frozen)

@@ -259,11 +259,13 @@ def train_stage1(manifest: DatasetManifest, config: TrainConfig,
 
         mae = losses.l_mae(sr_fake, hr_t)
         adv_g = None
-        if config.adv_enabled:
-            adv_g = losses.l_adversarial_g(dspre(sr_fake))
-            lb.adv_g = adv_g.item()
-        g_loss = losses.combine_g(mae, None, adv_g, config.alpha)
-        _update(gen, g_loss, g_state, config, i)
+        # the discriminator is a constant in the generator step
+        with dspre.untracked():
+            if config.adv_enabled:
+                adv_g = losses.l_adversarial_g(dspre(sr_fake))
+                lb.adv_g = adv_g.item()
+            g_loss = losses.combine_g(mae, None, adv_g, config.alpha)
+            _update(gen, g_loss, g_state, config, i)
         lb.mae = mae.item()
         lb.total_g = g_loss.item()
         return lb
@@ -350,12 +352,13 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
         mae = losses.l_mae(sr_vis, hr_t)
         noise_l = losses.l_noise(fe(sr_vis), noise_feats, w_k)
         adv_g = None
-        if config.adv_enabled:
-            fake2, _ = dtrans(sr_vis)
-            adv_g = losses.l_adversarial_g(fake2)
-            lb.adv_g = adv_g.item()
-        g_loss = losses.combine_g(mae, noise_l, adv_g, config.alpha)
-        _update(gen, g_loss, g_state, config, i)
+        with dtrans.untracked():
+            if config.adv_enabled:
+                fake2, _ = dtrans(sr_vis)
+                adv_g = losses.l_adversarial_g(fake2)
+                lb.adv_g = adv_g.item()
+            g_loss = losses.combine_g(mae, noise_l, adv_g, config.alpha)
+            _update(gen, g_loss, g_state, config, i)
         lb.mae = mae.item()
         lb.noise = noise_l.item()
         lb.total_g = g_loss.item()

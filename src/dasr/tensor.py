@@ -15,23 +15,23 @@ node's closure has run, and only leaves (tensors without a closure) get a
 
 Graphs are acyclic: a node refers to its inputs, never to its outputs or to
 a container the caller keeps growing, so reference counting frees a graph,
-with the window matrices its convolutions keep, as soon as its last output
-is dropped; no cyclic garbage collection is needed.
+with the padded inputs and window matrices its convolutions keep, as soon
+as its last output is dropped; no cyclic garbage collection is needed.
 
 ``no_grad()`` is a context manager in the manner of ``torch.no_grad``: ops
 run inside it build no graph (outputs have no ``_prev``/``_backward`` and
-``requires_grad`` is False), and ``conv2d`` keeps no window matrix. Forward
-values are the same bits as outside it. Inference and frozen feature
-targets use it.
+``requires_grad`` is False), and ``conv2d`` keeps nothing for a backward.
+Forward values are the same bits as outside it. Inference and frozen
+feature targets use it.
 
 Conventions:
   * 4-D tensors are laid out [batch, channel, height, width].
-  * ``conv2d`` is cross-correlation (no kernel flip). The window matrix of
-    its input serves its output and filter-gradient products. Its input
-    gradient comes from the smaller of two window matrices: that of the
-    output gradient for a stride-1 conv that does not widen, that of the
-    input otherwise. Its backward pass, like ``linear``'s, runs in the
-    forward dtype.
+  * ``conv2d`` is cross-correlation (no kernel flip). A stride-1 conv that
+    does not widen reads shifted runs of its flat padded input instead of
+    building a window matrix, so its graph keeps about 1x its input; other
+    convs keep their input's window matrix (kh·kw times the input). The
+    rule reads shapes only, so graph and ``no_grad`` forwards are the same
+    bits. Backward, like ``linear``'s, runs in the forward dtype.
   * Reductions accumulate in float64 and emit float32 scalars.
 """
 
@@ -326,12 +326,20 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     x: [N, Cin, H, W], w: [Cout, Cin, kh, kw], b: [Cout].
     Output extent along each spatial axis: (H + 2*padding - kh)//stride + 1.
 
-    The window matrix ``cols`` of the padded input gives out = W·cols and
-    dW = Σₙ Gₙ·colsₙᵀ. At stride 1 with Cout <= Cin and padding <= k-1, dx
-    is one product of the flipped [Cin, Cout·kh·kw] weight with the window
-    matrix of G padded by k-1-padding, no taller than Wᵀ·G's Cin·kh·kw rows;
-    otherwise dx scatter-adds Wᵀ·G over the kh·kw strided window offsets.
-    Backward runs in the forward dtype.
+    A stride-1 conv with Cout <= Cin and padding <= k-1 (the generator's
+    dense-block convs, ``trunk_conv`` and ``conv_last``) builds no window
+    matrix of x. Zero-padded with one spare row and read flat by rows, x
+    holds window offset (i, j) as one run of ho·Wp elements from i·Wp + j,
+    whose last Wp-wo columns a row run into the next row. out is one
+    batched product of the [kh, kw, Cout, Cin] weight with the runs, summed
+    over the offsets, minus those columns; dW is one batched product of the
+    runs with Gᵀ widened by zero rows there. The graph keeps only the
+    padded x. dx is one product of the flipped [Cin, Cout·kh·kw] weight
+    with the window matrix of G padded by k-1-padding, no taller than x's.
+
+    Other convs keep the window matrix ``cols`` of the padded x: out =
+    W·cols, dW = Σₙ Gₙ·colsₙᵀ, and dx scatter-adds Wᵀ·G over the kh·kw
+    strided window offsets. Backward runs in the forward dtype.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-D, got shape {x.shape}")
@@ -361,33 +369,53 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
                                    (w if b is None else b).data.dtype)
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    cols = _im2col(_pad2d(x.data.astype(compute_dtype, copy=False), padding,
-                          padding), kh, kw, stride, ho, wo)
-    wmat = w.data.reshape(cout, -1).astype(compute_dtype, copy=False)
-    out_data = np.matmul(wmat[None], cols).reshape(n, cout, ho, wo)
+    wc = w.data.astype(compute_dtype, copy=False)
+    narrowing = stride == 1 and cout <= cin and padding < min(kh, kw)
+    if narrowing:
+        xp = np.zeros((n, cin, hp + 1, wp), dtype=compute_dtype)
+        xp[:, :, padding:padding + h, padding:padding + wd] = x.data
+        # [N, kh, kw, Cin, ho·Wp]: the run of each flat channel from i·Wp + j
+        runs = np.ndarray((n, kh, kw, cin, ho * wp), compute_dtype, xp, 0,
+                          (xp.strides[0], xp.strides[2], xp.itemsize,
+                           xp.strides[1], xp.itemsize))
+        out_data = np.matmul(np.ascontiguousarray(wc.transpose(2, 3, 0, 1)),
+                             runs)
+        out_data = np.ascontiguousarray(
+            out_data.reshape(n, kh * kw, -1).sum(axis=1)
+            .reshape(n, cout, ho, wp)[..., :wo])
+        saved = runs
+    else:
+        saved = _im2col(_pad2d(x.data.astype(compute_dtype, copy=False),
+                               padding, padding), kh, kw, stride, ho, wo)
+        out_data = np.matmul(wc.reshape(cout, -1)[None], saved).reshape(
+            n, cout, ho, wo)
     if b is not None:
         out_data += b.data[None, :, None, None]
 
     parents = (x, w) if b is None else (x, w, b)
     if not (_GRAD_ENABLED and w.requires_grad):
-        cols = None  # nothing will need the window matrix
-    # dx as one correlation of g when its window matrix is the smaller one
-    correlate = stride == 1 and cout <= cin and padding < min(kh, kw)
+        saved = None  # only dW reads it
 
     def backward(g):
         dx = dw = None
         gmat = g.reshape(n, cout, ho * wo)
-        if w.requires_grad:
-            dw = (np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
+        if w.requires_grad and narrowing:
+            # Gᵀ widened to the runs' Wp columns by zero rows
+            gt = np.zeros((n, 1, 1, ho, wp, cout), dtype=g.dtype)
+            gt[:, 0, 0, :, :wo] = g.transpose(0, 2, 3, 1)
+            dw = np.matmul(saved, gt.reshape(n, 1, 1, ho * wp, cout))
+            dw = np.ascontiguousarray(dw.sum(axis=0).transpose(3, 2, 0, 1))
+        elif w.requires_grad:
+            dw = (np.matmul(gmat, saved.transpose(0, 2, 1)).sum(axis=0)
                   .reshape(w.shape))
-        if x.requires_grad and correlate:
+        if x.requires_grad and narrowing:
             gcols = _im2col(_pad2d(g, kh - 1 - padding, kw - 1 - padding),
                             kh, kw, 1, h, wd)
-            wflip = (wmat.reshape(cout, cin, kh, kw)[:, :, ::-1, ::-1]
-                     .transpose(1, 0, 2, 3).reshape(cin, -1))
+            wflip = (wc[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+                     .reshape(cin, -1))
             dx = np.matmul(wflip[None], gcols).reshape(n, cin, h, wd)
         elif x.requires_grad:
-            dcols = np.matmul(wmat.T[None], gmat).reshape(
+            dcols = np.matmul(wc.reshape(cout, -1).T[None], gmat).reshape(
                 n, cin, kh, kw, ho, wo)
             dxp = np.zeros((n, cin, hp, wp), dtype=dcols.dtype)
             for i in range(kh):

@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from dasr import imaging, metrics
 from dasr.imaging import (DegradationSpec, Image, add_gaussian_noise,
                           bicubic_resize, degrade, gaussian_blur, load_image,
                           random_paired_crop, save_image, sobel_map, to_luma)
@@ -293,6 +294,35 @@ class TestGaussianBlur:
             for sigma in (0.5, 2.0):
                 out = gaussian_blur(img, sigma).array
                 assert out.max() - out.min() <= rng_in + 1e-12
+
+    def test_blur_and_ssim_outputs_match_their_own_kernels(self,
+                                                           monkeypatch):
+        # each as it built its kernel before both shared gaussian_kernel:
+        # the blur over offsets -r..r, SSIM's 11-tap window around its centre
+        def blur_kernel(radius, sigma):
+            xs = np.arange(-radius, radius + 1, dtype=np.float64)
+            k = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
+            k /= k.sum()
+            return k
+
+        def ssim_kernel(radius, sigma):
+            size = 2 * radius + 1
+            xs = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
+            k = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
+            k /= k.sum()
+            return k
+
+        rng = np.random.default_rng(6)
+        img = Image(rng.random((24, 20, 1)))
+        other = Image(rng.random((24, 20, 1)))
+        sigmas = (0.5, 1.0, 1.5, 2.2)
+        blurred = [gaussian_blur(img, s).array for s in sigmas]
+        score = metrics.ssim(img, other)
+        monkeypatch.setattr(imaging, "gaussian_kernel", blur_kernel)
+        for s, out in zip(sigmas, blurred):
+            assert np.array_equal(gaussian_blur(img, s).array, out)
+        monkeypatch.setattr(metrics, "gaussian_kernel", ssim_kernel)
+        assert metrics.ssim(img, other) == score
 
 
 class TestNoise:

@@ -18,6 +18,7 @@ from dasr.checkpoint import (Checkpoint, CheckpointError, checkpoint_bytes,
 from dasr.imaging import (DegradationSpec, Image, load_image, save_image,
                           sobel_map)
 from dasr.metrics import evaluate_set
+from dasr.models import Generator
 from dasr.pngio import (ImageFormatError, read_png, read_pnm, write_png,
                         write_pnm)
 from dasr.pipeline import (TrainConfig, build_generator, evaluate_checkpoint,
@@ -275,6 +276,36 @@ class TestStepLifetime:
             train_stage2(stage1_ckpt, dataset, config)
         assert sorted({s for s, _ in refs}) == [0, 1, 2]
         assert leaks == []
+
+
+class TestGeneratorStep:
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_discriminator_gets_no_gradient(self, dataset, stage1_ckpt,
+                                            monkeypatch, stage):
+        # the discriminator is a constant in the generator step, so none of
+        # its weights gets a gradient that its next zero_grad would discard
+        discs, left = [], []
+        inner = pipeline._update
+
+        def spy(model, loss, state, config, step):
+            if isinstance(model, Generator):
+                for d in discs:
+                    d.zero_grad()
+                inner(model, loss, state, config, step)
+                left.append([p.name for d in discs for p in d.parameters()
+                             if p.grad is not None])
+            else:
+                discs.append(model)
+                inner(model, loss, state, config, step)
+
+        monkeypatch.setattr(pipeline, "_update", spy)
+        config = small_config(steps_stage1=2, steps_stage2=2,
+                              adv_enabled=True)
+        if stage == 1:
+            train_stage1(dataset, config)
+        else:
+            train_stage2(stage1_ckpt, dataset, config)
+        assert discs and left and left == [[]] * len(left)
 
 
 class TestCheckpointFormat:

@@ -141,6 +141,104 @@ class TestConv2d:
             assert T.grad_check(loss, b) < 1e-5
 
 
+def windows_ref(x, w, g, pad):
+    """float64 window-matrix reference of a stride-1 conv: the output, and
+    for an output gradient g the filter and input gradients."""
+    x, w, g = (np.asarray(a, dtype=np.float64) for a in (x, w, g))
+    n, c, h, wd = x.shape
+    k, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), (2, 3))
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, -1)
+    out = np.matmul(w.reshape(k, -1), cols)
+    gmat = g.reshape(n, k, -1)
+    dw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(0).reshape(w.shape)
+    dcols = np.matmul(w.reshape(k, -1).T, gmat).reshape(
+        n, c, kh, kw, *g.shape[2:])
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + g.shape[2], j:j + g.shape[3]] += dcols[:, :, i, j]
+    return (out.reshape(g.shape), dw,
+            dxp[:, :, pad:pad + h, pad:pad + wd])
+
+
+class TestShiftedRunForward:
+    """A stride-1 conv with Cout <= Cin and padding < min(kh, kw) computes
+    its output and filter gradient from shifted runs of the padded input,
+    with no window matrix; the other convs keep the window-matrix path."""
+
+    @staticmethod
+    def grid():
+        # (kernel, input extent, padding) for odd kh != kw, 1xW and Hx1
+        # inputs and every padding up to k-1 the input admits
+        for kh, kw in [(1, 3), (3, 1), (5, 3), (3, 3)]:
+            for hw in [(1, 7), (6, 1), (5, 6)]:
+                for pad in range(max(kh, kw)):
+                    if min(hw[0] + 2 * pad - kh, hw[1] + 2 * pad - kw) >= 0:
+                        yield (kh, kw), hw, pad
+
+    def test_matches_float64_window_matrix_reference(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        im2col = T._im2col
+        fwd_windows = []
+        monkeypatch.setattr(T, "_im2col", lambda *a: (
+            fwd_windows.append(a[0].shape), im2col(*a))[1])
+        cases = list(self.grid())
+        assert sum(pad < min(k) for k, _, pad in cases) >= 12
+        for (kh, kw), hw, pad in cases:
+            x = Tensor(rng.random((2, 4, *hw)) * 2 - 1, requires_grad=True)
+            w = Tensor(rng.random((3, 4, kh, kw)) * 2 - 1, requires_grad=True)
+            b = Tensor(rng.random(3) * 2 - 1)
+            fwd_windows.clear()
+            out = T.conv2d(x, w, b, padding=pad)
+            assert fwd_windows == ([] if pad < min(kh, kw) else
+                                   [(2, 4, hw[0] + 2 * pad, hw[1] + 2 * pad)])
+            probe = rng.random(out.shape) + 0.5
+            want, dw, dx = windows_ref(x.data, w.data, probe, pad)
+            want += b.data[None, :, None, None]
+            assert out.data.flags.c_contiguous
+            assert np.abs(out.data - want).max() < 1e-5
+            T.backward(T.sum_all(T.mul(out, Tensor(probe))))
+            assert np.abs(w.grad - dw).max() < 1e-4
+            assert np.abs(x.grad - dx).max() < 1e-4
+            with T.precise_mode():
+                x64, w64 = Tensor(x.data), Tensor(w.data)
+                out64 = T.conv2d(x64, w64, Tensor(b.data), padding=pad)
+            assert out64.data.dtype == np.float64
+            assert np.abs(out64.data - want).max() < 1e-12
+
+    def test_forward_keeps_no_window_matrix(self):
+        # a 96 -> 32 dense-block conv at 80x80: the window matrix of its
+        # input is 96*9*80*80*4 bytes, 22 MB
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.random((1, 96, 80, 80), dtype=np.float32))
+        w = T.Parameter(rng.random((32, 96, 3, 3), dtype=np.float32) - 0.5,
+                        "w")
+        cols_bytes = 96 * 9 * 80 * 80 * 4
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                T.conv2d(x, w, padding=1)
+            no_grad_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.conv2d(x, w, padding=1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+            g = np.ones(out.shape, dtype=np.float32)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            dw = out._backward(g)[1]
+            dw_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert dw.shape == w.shape
+        assert no_grad_peak < cols_bytes
+        assert retained < 3 * x.data.nbytes
+        # nor does the filter gradient rebuild it
+        assert dw_peak < cols_bytes
+
+
 class TestLeakyRelu:
     def test_definition(self):
         out = T.leaky_relu(Tensor([2.0, -2.0]), 0.2)
@@ -388,8 +486,15 @@ def builds_graph() -> bool:
 class TestNoGrad:
     def test_generator_forward_bitwise_equal_and_graphless(self):
         gen = Generator(DESK_CONFIG, seed=3)
-        x = Tensor(np.random.default_rng(3).random((2, 1, 10, 10)))
+        # a zero conv_last would pass the bicubic skip through whatever
+        # the trunk computed
+        rng = np.random.default_rng(3)
+        gen.conv_last.weight.data = (
+            rng.standard_normal(gen.conv_last.weight.shape) * 0.1
+        ).astype(np.float32)
+        x = Tensor(rng.random((2, 1, 10, 10)))
         ref = gen(x)
+        assert not np.array_equal(ref.data, gen._bicubic_skip(x).data)
         ref_mean = T.mean(ref)
         with T.no_grad():
             out = gen(x)
