@@ -184,7 +184,7 @@ def cmd_sobel(args) -> int:
     base = os.path.dirname(args.inp) if os.path.isfile(args.inp) else args.inp
     for name in names:
         img = load_image(os.path.join(base, name))
-        smap = sobel_map(img).array
+        smap = sobel_map(img)
         peak = smap.max()
         if peak > 0:
             smap = smap / peak

@@ -1,4 +1,4 @@
-"""Images, degradation operators, and the Sobel edge-magnitude map.
+"""Images, degradation operators, and the Sobel pair and edge-magnitude map.
 
 An Image wraps an [H, W, C] float array with samples in [0, 1] and C in
 {1, 3}. All operators here are pure functions of their inputs and seeds.
@@ -14,11 +14,6 @@ import numpy as np
 from . import pngio
 from .rng import generator
 from .spec import SCALES, Spec, opt
-
-SOBEL_H = np.array([[-1.0, 0.0, 1.0],
-                    [-2.0, 0.0, 2.0],
-                    [-1.0, 0.0, 1.0]])
-SOBEL_V = SOBEL_H.T.copy()
 
 _LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 
@@ -54,16 +49,6 @@ class Image:
 
     def __repr__(self) -> str:
         return f"Image({self.height}x{self.width}x{self.channels})"
-
-
-@dataclass
-class SobelMap:
-    """Valid-region edge magnitude: non-negative, (H-2) x (W-2)."""
-
-    array: np.ndarray
-
-    def mean(self) -> float:
-        return float(self.array.mean())
 
 
 @dataclass
@@ -222,8 +207,40 @@ def correlate_valid(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.einsum("...hwij,ij->...hw", win, kernel)
 
 
-def sobel_map(img: Image) -> SobelMap:
-    """Valid-region Sobel magnitude sqrt((Gh*I)^2 + (Gv*I)^2).
+def sobel_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The valid Sobel pair over the last two axes of ``x``, each
+    (H-2) x (W-2): gh correlates with [1, 2, 1]ᵀ ⊗ [-1, 0, 1] (the
+    horizontal derivative), gv with its transpose. Separable: a row and a
+    column pass of three taps each, in the dtype of ``x``."""
+    smooth = x[..., :-2, :] + x[..., 2:, :]
+    smooth += 2 * x[..., 1:-1, :]
+    diff = x[..., 2:, :] - x[..., :-2, :]
+    gh = smooth[..., 2:] - smooth[..., :-2]
+    gv = diff[..., :-2] + diff[..., 2:]
+    gv += 2 * diff[..., 1:-1]
+    return gh, gv
+
+
+def sobel_pair_adjoint(dgh: np.ndarray, dgv: np.ndarray) -> np.ndarray:
+    """The transpose of ``sobel_pair``: the gradient of x, H x W, given
+    those of gh and gv."""
+    *lead, h, w = dgh.shape
+    dsmooth = np.zeros((*lead, h, w + 2), dtype=dgh.dtype)
+    dsmooth[..., 2:] = dgh
+    dsmooth[..., :-2] -= dgh
+    ddiff = np.zeros_like(dsmooth)
+    ddiff[..., :-2] = dgv
+    ddiff[..., 2:] += dgv
+    ddiff[..., 1:-1] += 2 * dgv
+    dx = np.zeros((*lead, h + 2, w + 2), dtype=dgh.dtype)
+    dx[..., :-2, :] = dsmooth - ddiff
+    dx[..., 2:, :] += dsmooth + ddiff
+    dx[..., 1:-1, :] += 2 * dsmooth
+    return dx
+
+
+def sobel_map(img: Image) -> np.ndarray:
+    """Valid-region Sobel magnitude sqrt(gh² + gv²), (H-2) x (W-2), float64.
 
     Multi-channel images are converted to luminance first. Cross-correlation
     semantics, matching the tensor convolution convention.
@@ -232,9 +249,8 @@ def sobel_map(img: Image) -> SobelMap:
     if gray.shape[0] < 3 or gray.shape[1] < 3:
         raise ValueError(
             f"sobel_map: image {gray.shape[0]}x{gray.shape[1]} smaller than 3x3")
-    gh = correlate_valid(gray, SOBEL_H)
-    gv = correlate_valid(gray, SOBEL_V)
-    return SobelMap(np.sqrt(gh * gh + gv * gv))
+    gh, gv = sobel_pair(gray)
+    return np.sqrt(gh * gh + gv * gv)
 
 
 def random_paired_crop(lr: Image, hr: Image, lr_size: int, scale: int,

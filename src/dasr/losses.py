@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .imaging import SOBEL_H, SOBEL_V, correlate_valid
+from .imaging import sobel_pair, sobel_pair_adjoint
 from .tensor import Tensor
 
 TRANS_MODES = ("raw-sobel", "prior-branch")
@@ -87,32 +87,25 @@ def sobel_l1(pred: Tensor, target: Tensor) -> Tensor:
     eps2 = 1e-24  # keeps the magnitude differentiable at exact zero
     saved = {}
     for tag, t in (("p", pred), ("t", target)):
-        x64 = t.data.astype(np.float64)
-        gh = correlate_valid(x64, SOBEL_H)
-        gv = correlate_valid(x64, SOBEL_V)
+        gh, gv = sobel_pair(t.data.astype(np.float64))
         s = np.sqrt(gh * gh + gv * gv + eps2)
         saved[tag] = (gh, gv, s)
     diff = saved["p"][2] - saved["t"][2]
     n = diff.size
     acc = float(np.abs(diff).sum() / n)
     sign = np.sign(diff)
+    need_p, need_t = pred.requires_grad, target.requires_grad
 
     def grad_of(gh, gv, s, sgn, g):
-        # d mean|.| / d magnitude, then chain through sqrt and the two
-        # fixed valid correlations (transpose = full correlation with the
-        # flipped kernel)
+        # d mean|.| / d magnitude, then chain through sqrt and the Sobel pair
         dmag = sgn * (g / n)
-        dgh = dmag * gh / s
-        dgv = dmag * gv / s
-        pad = ((0, 0), (0, 0), (2, 2), (2, 2))
-        dx = (correlate_valid(np.pad(dgh, pad), SOBEL_H[::-1, ::-1])
-              + correlate_valid(np.pad(dgv, pad), SOBEL_V[::-1, ::-1]))
-        return dx.astype(np.float32)
+        return sobel_pair_adjoint(dmag * gh / s,
+                                  dmag * gv / s).astype(np.float32)
 
     def backward(g):
         g = float(g.reshape(()))
-        gp = grad_of(*saved["p"], sign, g) if pred.requires_grad else None
-        gt = grad_of(*saved["t"], -sign, g) if target.requires_grad else None
+        gp = grad_of(*saved["p"], sign, g) if need_p else None
+        gt = grad_of(*saved["t"], -sign, g) if need_t else None
         return gp, gt
 
     return T._make(T._ACTIVE_DTYPE(acc), (pred, target), backward,

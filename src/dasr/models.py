@@ -1,4 +1,4 @@
-"""Networks: the dense-block generator, both discriminators, and the frozen
+"""Networks: the dense-block generator, both discriminators, and the fixed
 feature pyramid that stands in for a pretrained perceptual backbone.
 
 Every model keeps its parameters in a name -> Parameter registry and exposes
@@ -9,20 +9,19 @@ the optimizer rely on.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .imaging import Image, SOBEL_H, SOBEL_V, bicubic_resize
+from .imaging import Image, bicubic_resize, sobel_pair, sobel_pair_adjoint
 from .rng import generator
 from .spec import SCALES, Spec, opt
 from .tensor import Parameter, Tensor
 
 LRELU_SLOPE = 0.2
 
-# the frozen feature extractor is the same across all runs and seeds
+# the feature extractor is the same across all runs and seeds
 _FEATURE_EXTRACTOR_SEED = 0x5EEDFEA7
 
 # the FeatureExtractor stages, shallowest first
@@ -52,20 +51,19 @@ class Model:
     def __init__(self):
         self._params: dict[str, Parameter] = {}
 
-    def _add(self, name: str, data, frozen: bool = False) -> Parameter:
+    def _add(self, name: str, data) -> Parameter:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        p = Parameter(data, name=name, frozen=frozen)
+        p = Parameter(data, name=name)
         self._params[name] = p
         return p
 
     def parameters(self) -> list[Parameter]:
-        """Trainable parameters in sorted-name order."""
-        return [self._params[k] for k in sorted(self._params)
-                if not self._params[k].frozen]
+        """Parameters in sorted-name order."""
+        return [self._params[k] for k in sorted(self._params)]
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """All parameters (frozen included) in sorted-name order."""
+        """Parameter arrays by name, in sorted-name order."""
         return [(k, self._params[k].data) for k in sorted(self._params)]
 
     def load_named_tensors(self, tensors: dict[str, np.ndarray]) -> None:
@@ -84,8 +82,8 @@ class Model:
 
     @contextlib.contextmanager
     def untracked(self):
-        """Hold the trainable parameters as constants inside the block; ops
-        read the flag in backward too, so the block spans the backward."""
+        """Hold the parameters as constants inside the block: a graph built
+        there gives them no gradient, wherever it is walked."""
         params = self.parameters()
         for p in params:
             p.requires_grad = False
@@ -96,17 +94,7 @@ class Model:
                 p.requires_grad = True
 
     def param_count(self) -> int:
-        return sum(p.size for p in self._params.values() if not p.frozen)
-
-    def frozen_hash(self) -> str:
-        """SHA-256 over all frozen tensors, in sorted-name order."""
-        h = hashlib.sha256()
-        for k in sorted(self._params):
-            p = self._params[k]
-            if p.frozen:
-                h.update(k.encode())
-                h.update(p.data.tobytes())
-        return h.hexdigest()
+        return sum(p.size for p in self._params.values())
 
 
 def _kaiming(rng: np.random.Generator, shape: tuple, fan_in: int,
@@ -147,18 +135,18 @@ class LinearLayer:
         return T.linear(x, self.weight, self.bias)
 
 
-class SobelLayer:
-    """Fixed depthwise Sobel pair: C channels in, 2C channels out, valid."""
+def sobel_channels(x: Tensor) -> Tensor:
+    """The valid Sobel pair of each channel: [N, C, H, W] -> [N, 2C, H-2,
+    W-2], channel 2c the horizontal and 2c+1 the vertical gradient of c."""
+    gh, gv = sobel_pair(x.data)
+    n, c, h, w = gh.shape
+    out = np.stack((gh, gv), axis=2).reshape(n, 2 * c, h, w)
 
-    def __init__(self, model: Model, name: str, channels: int):
-        w = np.zeros((2 * channels, channels, 3, 3), dtype=np.float32)
-        for c in range(channels):
-            w[2 * c, c] = SOBEL_H
-            w[2 * c + 1, c] = SOBEL_V
-        self.weight = model._add(f"{name}.weight", w, frozen=True)
+    def backward(g):
+        g = g.reshape(n, c, 2, h, w)
+        return (sobel_pair_adjoint(g[:, :, 0], g[:, :, 1]),)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, stride=1, padding=0)
+    return T._make(out, (x,), backward, "sobel")
 
 
 class DenseBlock:
@@ -312,10 +300,11 @@ class DiscSpre(_Discriminator):
 class DiscTrans(_Discriminator):
     """Stage-2 discriminator with a texture-prior branch.
 
-    The prior branch alternates learned valid convs with fixed Sobel filter
-    layers, so an edge-free input yields an exactly zero prior latent. Its
-    output v_p is returned alongside the logit; ``losses.l_trans`` compares
-    the v_p of prediction and target, so no image runs the branch twice.
+    The prior branch alternates learned valid convs with the fixed Sobel
+    pair of each channel, so an edge-free input yields an exactly zero prior
+    latent. Its output v_p is returned alongside the logit;
+    ``losses.l_trans`` compares the v_p of prediction and target, so no
+    image runs the branch twice.
     """
 
     def __init__(self, in_hw: int, seed: int, prior_blocks: int = 2):
@@ -324,21 +313,17 @@ class DiscTrans(_Discriminator):
         rng = generator(seed, "disc-trans-init")
         super().__init__(in_hw, rng)
 
-        self.prior: list[tuple[Conv2dLayer, SobelLayer]] = []
-        cin = 1
-        hw = in_hw
+        self.prior: list[Conv2dLayer] = []
+        cin, hw = 1, in_hw
         for i in range(prior_blocks):
             cout = 16 * (2 ** i)
-            conv = Conv2dLayer(self, f"prior.conv{i}", cin, cout, rng,
-                               stride=2, padding=0)
-            hw = (hw - 3) // 2 + 1
-            sobel = SobelLayer(self, f"prior.sobel{i}", cout)
-            hw = hw - 2
+            self.prior.append(Conv2dLayer(self, f"prior.conv{i}", cin, cout,
+                                          rng, stride=2, padding=0))
+            hw = (hw - 3) // 2 + 1 - 2  # the conv, then the valid Sobel pair
             if hw < 1:
                 raise ValueError(
                     f"input {in_hw}x{in_hw} too small for {prior_blocks} "
                     "prior blocks")
-            self.prior.append((conv, sobel))
             cin = 2 * cout
         self._prior_flat = cin * hw * hw
         self.head = LinearLayer(self, "head", self._flat + self._prior_flat,
@@ -346,8 +331,8 @@ class DiscTrans(_Discriminator):
 
     def prior_branch(self, img: Tensor) -> Tensor:
         t = img
-        for conv, sobel in self.prior:
-            t = T.leaky_relu(sobel(conv(t)), LRELU_SLOPE)
+        for conv in self.prior:
+            t = T.leaky_relu(sobel_channels(conv(t)), LRELU_SLOPE)
         return t
 
     def __call__(self, img: Tensor) -> tuple[Tensor, Tensor]:
@@ -359,24 +344,23 @@ class DiscTrans(_Discriminator):
         return self.head(fused), v_p
 
 
-class FeatureExtractor(Model):
-    """Frozen random conv pyramid standing in for a pretrained backbone.
+class FeatureExtractor:
+    """Fixed random conv pyramid standing in for a pretrained backbone.
 
-    Three stages at halving resolution; weights come from a fixed seed that
-    does not depend on the run seed, so features are comparable across runs.
+    Three stages at halving resolution; constant weights from a fixed seed,
+    independent of the run seed, so features are comparable across runs.
     """
 
     K = len(PRIOR_DEPTHS)
     _CHANNELS = (16, 32, 64)
 
     def __init__(self):
-        super().__init__()
         rng = generator(_FEATURE_EXTRACTOR_SEED, "feature-extractor")
         self.stages = []
         cin = 1
-        for i, cout in enumerate(self._CHANNELS):
-            w = _kaiming(rng, (cout, cin, 3, 3), cin * 9)
-            self.stages.append(self._add(f"stage{i}.weight", w, frozen=True))
+        for cout in self._CHANNELS:
+            self.stages.append(
+                Tensor(_kaiming(rng, (cout, cin, 3, 3), cin * 9)))
             cin = cout
 
     def __call__(self, img: Tensor) -> list[Tensor]:

@@ -295,7 +295,7 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
     adv_d - beta * trans; the generator takes one step on
     mae + alpha * noise (+ adv). When ir_replay is on, the generator also
     replays one plain MAE step on an IR batch. The feature extractor and
-    all Sobel filter layers stay frozen throughout.
+    the Sobel filters are constants, not parameters.
     """
     if stage1_ckpt.stage != "stage1":
         raise ValueError("stage2 requires a stage1 checkpoint, got "

@@ -21,8 +21,8 @@ as its last output is dropped; no cyclic garbage collection is needed.
 ``no_grad()`` is a context manager in the manner of ``torch.no_grad``: ops
 run inside it build no graph (outputs have no ``_prev``/``_backward`` and
 ``requires_grad`` is False), and ``conv2d`` keeps nothing for a backward.
-Forward values are the same bits as outside it. Inference and frozen
-feature targets use it.
+Forward values are the same bits as outside it. Inference and the noise
+pattern's feature targets use it.
 
 Conventions:
   * 4-D tensors are laid out [batch, channel, height, width].
@@ -123,12 +123,11 @@ class Tensor:
 class Parameter(Tensor):
     """A named, gradient-tracked tensor owned by a model."""
 
-    __slots__ = ("name", "frozen")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str, frozen: bool = False):
-        super().__init__(data, requires_grad=not frozen)
+    def __init__(self, data, name: str):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.frozen = frozen
 
     def __repr__(self) -> str:
         return f"Parameter({self.name}, shape={self.shape})"
@@ -393,28 +392,31 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         out_data += b.data[None, :, None, None]
 
     parents = (x, w) if b is None else (x, w, b)
-    if not (_GRAD_ENABLED and w.requires_grad):
+    # read now: a parameter held constant at build time gets no gradient
+    need_x, need_w = x.requires_grad, w.requires_grad
+    need_b = b is not None and b.requires_grad
+    if not (_GRAD_ENABLED and need_w):
         saved = None  # only dW reads it
 
     def backward(g):
         dx = dw = None
         gmat = g.reshape(n, cout, ho * wo)
-        if w.requires_grad and narrowing:
+        if need_w and narrowing:
             # Gᵀ widened to the runs' Wp columns by zero rows
             gt = np.zeros((n, 1, 1, ho, wp, cout), dtype=g.dtype)
             gt[:, 0, 0, :, :wo] = g.transpose(0, 2, 3, 1)
             dw = np.matmul(saved, gt.reshape(n, 1, 1, ho * wp, cout))
             dw = np.ascontiguousarray(dw.sum(axis=0).transpose(3, 2, 0, 1))
-        elif w.requires_grad:
+        elif need_w:
             dw = (np.matmul(gmat, saved.transpose(0, 2, 1)).sum(axis=0)
                   .reshape(w.shape))
-        if x.requires_grad and narrowing:
+        if need_x and narrowing:
             gcols = _im2col(_pad2d(g, kh - 1 - padding, kw - 1 - padding),
                             kh, kw, 1, h, wd)
             wflip = (wc[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
                      .reshape(cin, -1))
             dx = np.matmul(wflip[None], gcols).reshape(n, cin, h, wd)
-        elif x.requires_grad:
+        elif need_x:
             dcols = np.matmul(wc.reshape(cout, -1).T[None], gmat).reshape(
                 n, cin, kh, kw, ho, wo)
             dxp = np.zeros((n, cin, hp, wp), dtype=dcols.dtype)
@@ -423,7 +425,8 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
                     dxp[:, :, i:i + stride * ho:stride,
                         j:j + stride * wo:stride] += dcols[:, :, i, j]
             dx = dxp[:, :, padding:padding + h, padding:padding + wd]
-        return (dx, dw) if b is None else (dx, dw, g.sum(axis=(0, 2, 3)))
+        db = g.sum(axis=(0, 2, 3)) if need_b else None
+        return (dx, dw) if b is None else (dx, dw, db)
 
     return _make(out_data, parents, backward, "conv2d")
 
@@ -448,14 +451,17 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     if b is not None:
         out_data += b.data[None, :]
     parents = (x, w) if b is None else (x, w, b)
+    need_x, need_w = x.requires_grad, w.requires_grad
+    need_b = b is not None and b.requires_grad
 
     def backward(g):
         dx = dw = None
-        if w.requires_grad:
+        if need_w:
             dw = g.T @ x.data
-        if x.requires_grad:
+        if need_x:
             dx = g @ w.data
-        return (dx, dw) if b is None else (dx, dw, g.sum(axis=0))
+        db = g.sum(axis=0) if need_b else None
+        return (dx, dw) if b is None else (dx, dw, db)
 
     return _make(out_data, parents, backward, "linear")
 

@@ -98,12 +98,12 @@ def test_criterion_02_sobel_oracle():
     worst = 0.0
     for _ in range(100):
         gray = rng.random((8, 8))
-        got = sobel_map(Image(gray[:, :, None])).array
+        got = sobel_map(Image(gray[:, :, None]))
         worst = max(worst, float(np.abs(got - sobel_oracle(gray)).max()))
     ramp = np.tile(np.arange(6, dtype=float), (6, 1))
-    ramp_ok = np.allclose(sobel_map(Image(ramp[:, :, None])).array, 8.0)
+    ramp_ok = np.allclose(sobel_map(Image(ramp[:, :, None])), 8.0)
     yy, xx = np.meshgrid(np.arange(6.0), np.arange(6.0), indexing="ij")
-    diag = sobel_map(Image((yy + xx)[:, :, None])).array
+    diag = sobel_map(Image((yy + xx)[:, :, None]))
     diag_ok = np.allclose(diag, 8.0 * np.sqrt(2.0))
     elapsed = time.perf_counter() - t0
     report(2, "sobel matches double-loop oracle", worst <= 1e-6 and ramp_ok

@@ -1,4 +1,4 @@
-"""Image I/O, degradation operators, and the Sobel magnitude map."""
+"""Image I/O, degradation operators, the Sobel pair and magnitude map."""
 
 import os
 import struct
@@ -10,8 +10,10 @@ import pytest
 
 from dasr import imaging, metrics
 from dasr.imaging import (DegradationSpec, Image, add_gaussian_noise,
-                          bicubic_resize, degrade, gaussian_blur, load_image,
-                          random_paired_crop, save_image, sobel_map, to_luma)
+                          bicubic_resize, correlate_valid, degrade,
+                          gaussian_blur, load_image, random_paired_crop,
+                          save_image, sobel_map, sobel_pair,
+                          sobel_pair_adjoint, to_luma)
 from dasr.pngio import _PNG_SIG, MAX_PIXELS, ImageFormatError, _chunk
 
 
@@ -348,30 +350,57 @@ class TestNoise:
 
 class TestSobelMap:
     def test_constant_is_zero(self):
-        assert np.allclose(sobel_map(Image(np.full((6, 6, 1), 0.4))).array,
-                           0.0)
+        assert np.allclose(sobel_map(Image(np.full((6, 6, 1), 0.4))), 0.0)
 
     def test_horizontal_ramp_is_8(self):
         ramp = np.tile(np.arange(6, dtype=float), (6, 1))
         out = sobel_map(Image(ramp[:, :, None]))
-        assert np.allclose(out.array, 8.0)
+        assert np.allclose(out, 8.0)
 
     def test_diagonal_ramp_is_8_sqrt2(self):
         yy, xx = np.meshgrid(np.arange(6.0), np.arange(6.0), indexing="ij")
         out = sobel_map(Image((yy + xx)[:, :, None]))
-        assert np.allclose(out.array, 8.0 * np.sqrt(2.0))
+        assert np.allclose(out, 8.0 * np.sqrt(2.0))
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             gray = rng.random((8, 8))
-            got = sobel_map(Image(gray[:, :, None])).array
+            got = sobel_map(Image(gray[:, :, None]))
             assert np.abs(got - sobel_oracle(gray)).max() < 1e-6
             assert got.min() >= 0.0
 
     def test_too_small_errors(self):
         with pytest.raises(ValueError, match="smaller than 3x3"):
             sobel_map(Image(np.zeros((2, 5, 1))))
+
+
+SOBEL_H = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+
+
+class TestSobelPair:
+    def test_matches_windowed_correlation_with_both_kernels(self):
+        rng = np.random.default_rng(21)
+        for shape in [(3, 3), (8, 5), (2, 3, 9, 7)]:
+            x = rng.standard_normal(shape)
+            gh, gv = sobel_pair(x)
+            assert np.abs(gh - correlate_valid(x, SOBEL_H)).max() < 1e-12
+            assert np.abs(gv - correlate_valid(x, SOBEL_H.T)).max() < 1e-12
+
+    def test_adjoint_is_the_transpose(self):
+        # <sobel_pair(x), (a, b)> == <x, sobel_pair_adjoint(a, b)>
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((2, 3, 9, 7))
+        a, b = rng.standard_normal((2, 2, 3, 7, 5))
+        gh, gv = sobel_pair(x)
+        lhs = np.sum(gh * a) + np.sum(gv * b)
+        rhs = np.sum(x * sobel_pair_adjoint(a, b))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_keeps_the_input_dtype(self):
+        x = np.zeros((4, 4), dtype=np.float32)
+        assert sobel_pair(x)[0].dtype == np.float32
+        assert sobel_pair_adjoint(*sobel_pair(x)).dtype == np.float32
 
 
 class TestRandomPairedCrop:

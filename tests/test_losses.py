@@ -81,8 +81,8 @@ class TestAdversarialG:
 
 def _sobel_mean_abs_oracle(a, b):
     """Compose the image-space Sobel oracle with a scalar mean-abs loop."""
-    sa = sobel_map(Image(a[:, :, None])).array
-    sb = sobel_map(Image(b[:, :, None])).array
+    sa = sobel_map(Image(a[:, :, None]))
+    sb = sobel_map(Image(b[:, :, None]))
     acc = 0.0
     for x, y in zip(sa.flat, sb.flat):
         acc += abs(x - y)

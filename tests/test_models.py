@@ -1,11 +1,12 @@
-"""Network construction, shape contracts, freezing, and gradients."""
+"""Network construction, shape contracts, constants, and gradients."""
 
 import numpy as np
 import pytest
 
 from dasr import tensor as T
 from dasr.models import (GENERATOR_PRESETS, DiscSpre, DiscTrans,
-                         FeatureExtractor, Generator, GeneratorConfig)
+                         FeatureExtractor, Generator, GeneratorConfig,
+                         sobel_channels)
 from dasr.optim import AdamState, adam_step
 from dasr.tensor import Tensor
 
@@ -168,17 +169,6 @@ class TestDiscTrans:
         err = T.grad_check(lambda t: T.mean(d(t)[0]), x, eps=1e-5)
         assert err < 1e-3
 
-    def test_sobel_weights_survive_training_steps(self):
-        d = DiscTrans(in_hw=32, seed=13)
-        frozen_before = d.frozen_hash()
-        rng = np.random.default_rng(9)
-        state = AdamState()
-        for _ in range(3):
-            logit, _ = d(Tensor(rng.random((2, 1, 32, 32))))
-            T.backward(T.mean(logit))
-            adam_step(d.parameters(), state, lr=1e-3)
-        assert d.frozen_hash() == frozen_before
-
     def test_too_small_input_for_prior_blocks(self):
         with pytest.raises(ValueError, match="too small"):
             DiscTrans(in_hw=16, seed=14)
@@ -192,11 +182,76 @@ class TestDiscTrans:
         assert vp1.shape != vp3.shape
 
 
+SOBEL_H = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float32)
+
+
+def dense_sobel_weight(c):
+    """The [2C, C, 3, 3] conv weight that applies the Sobel pair to each
+    channel: C-1 of every C kernels are zero."""
+    w = np.zeros((2 * c, c, 3, 3), dtype=np.float32)
+    for i in range(c):
+        w[2 * i, i] = SOBEL_H
+        w[2 * i + 1, i] = SOBEL_H.T
+    return w
+
+
+class TestSobelChannels:
+    def test_matches_the_dense_conv_forward_and_backward(self):
+        rng = np.random.default_rng(23)
+        x_in = rng.standard_normal((2, 3, 9, 7)).astype(np.float32)
+        probe = Tensor(rng.standard_normal((2, 6, 7, 5)))
+        got_x = Tensor(x_in, requires_grad=True)
+        got = sobel_channels(got_x)
+        want_x = Tensor(x_in, requires_grad=True)
+        want = T.conv2d(want_x, Tensor(dense_sobel_weight(3)))
+        assert got.shape == want.shape == (2, 6, 7, 5)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-6, atol=1e-5)
+        T.backward(T.sum_all(T.mul(got, probe)))
+        T.backward(T.sum_all(T.mul(want, probe)))
+        np.testing.assert_allclose(got_x.grad, want_x.grad, rtol=1e-6,
+                                   atol=1e-5)
+
+    def test_gradient_check(self):
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.random((1, 2, 5, 6)), requires_grad=True)
+        probe = Tensor(rng.standard_normal((1, 4, 3, 4)))
+        err = T.grad_check(lambda t: T.sum_all(T.mul(sobel_channels(t),
+                                                     probe)), x)
+        assert err < 1e-3
+
+
+class TestUntracked:
+    @pytest.mark.parametrize("make", [lambda: DiscSpre(16, 1),
+                                      lambda: DiscTrans(32, 1)],
+                             ids=["spre", "trans"])
+    def test_graph_built_inside_is_walked_outside(self, make):
+        # the block decides which tensors get a gradient when the graph is
+        # built, not when it is walked
+        d = make()
+
+        def loss_of(x):
+            out = d(x)  # DiscTrans returns (logit, prior latent)
+            return T.mean(out[0] if isinstance(out, tuple) else out)
+
+        x_in = np.random.default_rng(25).random((2, 1, d.in_hw, d.in_hw))
+        inside = Tensor(x_in, requires_grad=True)
+        with d.untracked():
+            T.backward(loss_of(inside))
+        outside = Tensor(x_in, requires_grad=True)
+        with d.untracked():
+            loss = loss_of(outside)
+        assert all(p.requires_grad for p in d.parameters())
+        T.backward(loss)
+        assert all(p.grad is None for p in d.parameters())
+        assert np.array_equal(outside.grad, inside.grad)
+
+
 class TestFeatureExtractor:
     def test_deterministic_and_independent_of_run_seed(self):
         a = FeatureExtractor()
         b = FeatureExtractor()
-        assert a.frozen_hash() == b.frozen_hash()
+        for wa, wb in zip(a.stages, b.stages, strict=True):
+            assert np.array_equal(wa.data, wb.data)
         x = Tensor(np.random.default_rng(11).random((1, 1, 24, 24)))
         fa = a(x)
         fb = b(x)
@@ -223,7 +278,8 @@ class TestFeatureExtractor:
 
     def test_no_trainable_parameters(self):
         fe = FeatureExtractor()
-        assert fe.parameters() == []
+        assert len(fe.stages) == fe.K
+        assert not any(w.requires_grad for w in fe.stages)
 
 
 class TestNamedTensors:

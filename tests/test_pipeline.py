@@ -27,6 +27,7 @@ from dasr.pipeline import (TrainConfig, build_generator, evaluate_checkpoint,
 from dasr.synth import (DatasetManifest, ManifestEntry, SyntheticSceneSpec,
                         make_synthetic_dataset)
 from dasr.tensor import Tensor
+from test_models import dense_sobel_weight
 
 
 def small_config(**kw):
@@ -173,20 +174,43 @@ class TestStage2:
                 assert np.array_equal(ck2.tensors[name], data)
 
     def test_frozen_tensors_unchanged_by_training(self, dataset,
-                                                  stage1_ckpt):
+                                                  stage1_ckpt, monkeypatch):
+        # the feature extractor's weights are constants, and the Sobel
+        # filters are code: the checkpoint holds no tensor for them
         from dasr.models import FeatureExtractor
-        from dasr.pipeline import build_disc_trans
-        cfg = small_config()
-        fe_hash = FeatureExtractor().frozen_hash()
-        d_hash = build_disc_trans(cfg).frozen_hash()
-        ck2 = train_stage2(stage1_ckpt, dataset, cfg)
-        assert FeatureExtractor().frozen_hash() == fe_hash
-        # the checkpointed sobel layers must match a fresh build bit-for-bit
-        fresh = build_disc_trans(cfg)
-        assert fresh.frozen_hash() == d_hash
-        for name, p in fresh._params.items():
-            if p.frozen:
-                assert np.array_equal(ck2.tensors[f"dtrans.{name}"], p.data)
+        built = []
+
+        class Recorded(FeatureExtractor):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(pipeline, "FeatureExtractor", Recorded)
+        ck2 = train_stage2(stage1_ckpt, dataset, small_config())
+        assert len(built) == 1
+        for used, fresh in zip(built[0].stages, FeatureExtractor().stages,
+                               strict=True):
+            assert np.array_equal(used.data, fresh.data)
+        assert "dtrans.prior.conv0.weight" in ck2.tensors
+        assert not [k for k in ck2.tensors
+                    if k.startswith("dtrans.prior.sobel")]
+
+    def test_checkpoint_with_old_sobel_tensors_evaluates_the_same(
+            self, dataset, stage1_ckpt, tmp_path):
+        # stage-2 files written while the Sobel filters were stored as
+        # [2C, C, 3, 3] conv weights still load; the extra tensors are
+        # ignored
+        ck2 = train_stage2(stage1_ckpt, dataset,
+                           small_config(steps_stage2=1))
+        old = Checkpoint(stage=ck2.stage, config=ck2.config,
+                         tensors=dict(ck2.tensors))
+        for i, c in enumerate((16, 32)):
+            old.tensors[f"dtrans.prior.sobel{i}.weight"] = \
+                dense_sobel_weight(c)
+        path = str(tmp_path / "old.dasr")
+        save_checkpoint(old, path)
+        assert evaluate_checkpoint(load_checkpoint(path), dataset) == \
+            evaluate_checkpoint(ck2, dataset)
 
     def test_logged_discriminator_total(self, dataset, stage1_ckpt,
                                         tmp_path):
