@@ -133,8 +133,7 @@ def cmd_eval(args) -> int:
     if args.self_check:
         pairs = []
         for i in range(len(manifest.entries)):
-            hr, _ = manifest.load_hr_pair(i)
-            hr = to_luma(hr)
+            hr = to_luma(manifest.load_ir(i))
             pairs.append((hr, hr))
         rows.append(evaluate_set(pairs, "self-check", manifest.scale))
     else:
@@ -151,9 +150,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_metrics(args) -> int:
-    hr_names = _image_files(args.hr)
-    sr_names = set(_image_files(args.sr))
+def _paired_names(hr_dir: str, sr_dir: str) -> list[str]:
+    """The image names of ``hr_dir``, each of which must name an SR image
+    in ``sr_dir``, and every SR image an HR one."""
+    hr_names = _image_files(hr_dir)
+    sr_names = set(_image_files(sr_dir))
     missing = [n for n in hr_names if n not in sr_names]
     extra = sorted(sr_names - set(hr_names))
     if missing or extra:
@@ -161,9 +162,14 @@ def cmd_metrics(args) -> int:
             "unmatched names: "
             + ", ".join([f"missing SR for {n}" for n in missing]
                         + [f"no HR for {n}" for n in extra]))
+    return hr_names
+
+
+def cmd_metrics(args) -> int:
+    names = _paired_names(args.hr, args.sr)
     print("name,psnr,mse,ssim")
     reports = []
-    for name in hr_names:
+    for name in names:
         hr = load_image(os.path.join(args.hr, name))
         sr = load_image(os.path.join(args.sr, name))
         reports.append(metric_report(hr, sr))
@@ -207,15 +213,11 @@ def _color_ramp() -> np.ndarray:
 
 
 def cmd_residual(args) -> int:
-    hr_names = _image_files(args.hr)
-    sr_names = set(_image_files(args.sr))
-    missing = [n for n in hr_names if n not in sr_names]
-    if missing:
-        raise ValueError("missing SR for: " + ", ".join(missing))
+    names = _paired_names(args.hr, args.sr)
     os.makedirs(args.out, exist_ok=True)
     ramp = _color_ramp()
     total = []
-    for name in hr_names:
+    for name in names:
         hr = to_luma(load_image(os.path.join(args.hr, name)))
         sr = to_luma(load_image(os.path.join(args.sr, name)))
         if (hr.height, hr.width) != (sr.height, sr.width):

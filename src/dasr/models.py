@@ -46,10 +46,12 @@ GENERATOR_PRESETS = {
 
 
 class Model:
-    """Base: parameter registry with unique names, sorted enumeration."""
+    """Base: parameter registry with unique names, sorted enumeration, and
+    the flat slabs an optimizer steps."""
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
+        self._slabs: tuple[np.ndarray, np.ndarray] | None = None
 
     def _add(self, name: str, data) -> Parameter:
         if name in self._params:
@@ -61,6 +63,27 @@ class Model:
     def parameters(self) -> list[Parameter]:
         """Parameters in sorted-name order."""
         return [self._params[k] for k in sorted(self._params)]
+
+    def slabs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(data, grad): one flat float32 slab each over every parameter, in
+        sorted-name order. The first call copies each parameter's ``.data``
+        into a view of the first and makes its ``.grad`` a zeroed view of
+        the second; from then on code copies into ``p.data`` and never
+        rebinds it."""
+        if self._slabs is None:
+            params = self.parameters()
+            n = sum(p.size for p in params)
+            data = np.empty(n, dtype=np.float32)
+            grad = np.zeros(n, dtype=np.float32)
+            ofs = 0
+            for p in params:
+                part = slice(ofs, ofs + p.size)
+                data[part] = p.data.reshape(-1)
+                p.data = data[part].reshape(p.shape)
+                p.grad = grad[part].reshape(p.shape)
+                ofs += p.size
+            self._slabs = data, grad
+        return self._slabs
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         """Parameter arrays by name, in sorted-name order."""
@@ -74,11 +97,7 @@ class Model:
             if arr.shape != p.shape:
                 raise ValueError(
                     f"tensor {name!r}: shape {arr.shape} != {p.shape}")
-            p.data = arr.copy()
-
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.grad = None
+            p.data[...] = arr
 
     @contextlib.contextmanager
     def untracked(self):

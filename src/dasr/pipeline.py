@@ -88,17 +88,6 @@ def build_generator(config: TrainConfig) -> Generator:
     return Generator(gen_cfg, seed=derive_seed(config.seed, "init.gen"))
 
 
-def build_disc_spre(config: TrainConfig) -> DiscSpre:
-    return DiscSpre(in_hw=config.hr_crop(),
-                    seed=derive_seed(config.seed, "init.dspre"))
-
-
-def build_disc_trans(config: TrainConfig) -> DiscTrans:
-    return DiscTrans(in_hw=config.hr_crop(),
-                     seed=derive_seed(config.seed, "init.dtrans"),
-                     prior_blocks=config.prior_blocks)
-
-
 def noise_feature_weights(config: TrainConfig) -> list[float]:
     """The noise loss's weight for each FeatureExtractor stage:
     ``feature_weights`` when given, else one-hot at ``prior_depth``."""
@@ -119,24 +108,26 @@ def noise_feature_weights(config: TrainConfig) -> list[float]:
 class _Sample:
     hr_ir: Image
     lr_ir: Image
-    vis_hr: Optional[Image]
     lr_vis_luma: Optional[Image]
 
 
 def _load_samples(manifest: DatasetManifest, need_vis: bool) -> list[_Sample]:
+    """Every entry's HR and LR IR images, plus its LR visible luma when
+    ``need_vis`` (stage 2, which needs a visible image in every pair)."""
     if not manifest.entries:
         raise ValueError("manifest has no entries")
     samples = []
     for i in range(len(manifest.entries)):
-        hr_ir, vis_hr = manifest.load_hr_pair(i)
-        if need_vis and vis_hr is None:
-            raise ValueError(
-                f"entry {i}: stage 2 needs a visible image for every pair")
-        lr_ir = manifest.lr_for(hr_ir, i, "ir-noise")
+        hr_ir = manifest.load_ir(i)
         lr_vis = None
-        if vis_hr is not None:
+        if need_vis:
+            vis_hr = manifest.load_vis(i)
+            if vis_hr is None:
+                raise ValueError(
+                    f"entry {i}: stage 2 needs a visible image for every pair")
             lr_vis = to_luma(manifest.lr_for(vis_hr, i, "vis-noise"))
-        samples.append(_Sample(hr_ir=hr_ir, lr_ir=lr_ir, vis_hr=vis_hr,
+        samples.append(_Sample(hr_ir=hr_ir,
+                               lr_ir=manifest.lr_for(hr_ir, i, "ir-noise"),
                                lr_vis_luma=lr_vis))
     return samples
 
@@ -188,17 +179,16 @@ def generator_from_checkpoint(ckpt: Checkpoint) -> tuple[Generator,
 
 def _update(model, loss: Tensor, state: AdamState, config: TrainConfig,
             step: int) -> None:
-    """One optimizer step of ``model`` on ``loss``: zero its gradients,
-    backward, clip, Adam. A non-finite gradient norm stops the run before
+    """One optimizer step of ``model`` on ``loss``: backward, clip, Adam.
+    The gradients start at zero, as the model's previous Adam step (or its
+    packing) left them. A non-finite gradient norm stops the run before
     any parameter changes, naming the step and the first parameter (in
     sorted-name order) whose gradient is not finite."""
-    model.zero_grad()
     T.backward(loss)
     params = model.parameters()
     norm = clip_grad_norm(params, config.grad_clip)
     if not np.isfinite(norm):
-        bad = [p.name for p in params
-               if p.grad is not None and not np.isfinite(p.grad).all()]
+        bad = [p.name for p in params if not np.isfinite(p.grad).all()]
         where = f"; first non-finite gradient: {bad[0]}" if bad else ""
         raise ValueError(f"step {step}: non-finite gradient norm "
                          f"{norm}{where}")
@@ -241,8 +231,12 @@ def train_stage1(manifest: DatasetManifest, config: TrainConfig,
     adversarial path disabled the discriminator is left untouched.
     """
     gen = build_generator(config)
-    dspre = build_disc_spre(config)
-    g_state, d_state = AdamState(), AdamState()
+    dspre = DiscSpre(in_hw=config.hr_crop(),
+                     seed=derive_seed(config.seed, "init.dspre"))
+    # packed before the first forward, so no graph keeps the arrays the
+    # packing replaces; a discriminator that never steps is not packed
+    g_state = AdamState(gen)
+    d_state = AdamState(dspre) if config.adv_enabled else None
 
     def step(samples, rng, i) -> LossBreakdown:
         lr_t, hr_t = _batch(samples, rng, config, use_vis=False)
@@ -302,7 +296,9 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
                          f"{stage1_ckpt.stage!r}")
     gen = build_generator(config)
     _load_model_tensors(gen, stage1_ckpt, "gen")
-    dtrans = build_disc_trans(config)
+    dtrans = DiscTrans(in_hw=config.hr_crop(),
+                       seed=derive_seed(config.seed, "init.dtrans"),
+                       prior_blocks=config.prior_blocks)
     if config.init_trans_from_spre:
         # the stage-1 trunk over the texture discriminator's own tensors
         tensors = dict(dtrans.named_tensors())
@@ -312,7 +308,7 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
         dtrans.load_named_tensors(tensors)
     fe = FeatureExtractor()
     w_k = noise_feature_weights(config)
-    g_state, d_state = AdamState(), AdamState()
+    g_state, d_state = AdamState(gen), AdamState(dtrans)
     hr_size = (config.hr_crop(), config.hr_crop())
 
     def step(samples, rng, i) -> LossBreakdown:
@@ -470,8 +466,7 @@ def evaluate_checkpoint(ckpt: Checkpoint, manifest: DatasetManifest,
         os.makedirs(out_dir, exist_ok=True)
     model_pairs, bicubic_pairs = [], []
     for i, entry in enumerate(manifest.entries):
-        hr, _ = manifest.load_hr_pair(i)
-        hr = to_luma(hr)
+        hr = to_luma(manifest.load_ir(i))
         lr = manifest.lr_for(hr, i, "ir-noise")
         sr = super_resolve(gen, lr)
         base = bicubic_resize(lr, hr.height, hr.width)

@@ -30,6 +30,9 @@ N_GRATINGS = 2
 IR_BLUR_SIGMA = 0.8
 VIS_TEXTURE_AMP = 0.08
 
+# draws after the first that a pair may take to keep its texture margin
+REDRAWS = 4
+
 
 @dataclass
 class SyntheticSceneSpec(Spec):
@@ -98,17 +101,19 @@ class DatasetManifest:
             base_dir=os.path.dirname(os.path.abspath(path)),
         )
 
-    def load_hr_pair(self, idx: int) -> tuple[Image, Optional[Image]]:
-        """HR IR (and the aligned visible image when present), both cropped
-        down to extents divisible by the scale."""
-        e = self.entries[idx]
-        ir = self._crop(load_image(os.path.join(self.base_dir, e.ir)))
-        vis = None
-        if e.vis is not None:
-            vis = self._crop(load_image(os.path.join(self.base_dir, e.vis)))
-        return ir, vis
+    def load_ir(self, idx: int) -> Image:
+        """The HR IR image of entry ``idx``, cropped down to extents
+        divisible by the scale."""
+        return self._load(self.entries[idx].ir)
 
-    def _crop(self, img: Image) -> Image:
+    def load_vis(self, idx: int) -> Optional[Image]:
+        """The aligned HR visible image of entry ``idx``, cropped as the IR
+        one is; None when the entry has none."""
+        vis = self.entries[idx].vis
+        return None if vis is None else self._load(vis)
+
+    def _load(self, rel: str) -> Image:
+        img = load_image(os.path.join(self.base_dir, rel))
         h = (img.height // self.scale) * self.scale
         w = (img.width // self.scale) * self.scale
         if h < self.scale or w < self.scale:
@@ -159,9 +164,12 @@ def _base_scene(extent: int, rng: np.random.Generator) -> np.ndarray:
     return np.clip(0.08 + 0.84 * scene, 0.0, 1.0)
 
 
-def render_pair(spec: SyntheticSceneSpec, idx: int) -> tuple[Image, Image]:
-    """One aligned (ir, vis) pair at HR extents."""
-    rng = generator(spec.seed, "scene", idx)
+def render_pair(spec: SyntheticSceneSpec, idx: int,
+                redraw: int = 0) -> tuple[Image, Image]:
+    """One aligned (ir, vis) pair at HR extents; ``redraw`` k > 0 draws
+    the pair again from a seed derived from k."""
+    labels = ("redraw", redraw) if redraw else ()
+    rng = generator(spec.seed, "scene", idx, *labels)
     base = _base_scene(spec.extent, rng)
 
     # IR: luminance remap plus mild blur -> softer edges, 1 channel
@@ -194,7 +202,8 @@ def make_synthetic_dataset(spec: SyntheticSceneSpec, out_dir: str,
     """Write aligned ir/ and vis/ PNG pairs plus manifest.json.
 
     Deterministic per seed; every pair satisfies
-    mean sobel(vis) > mean sobel(ir).
+    mean sobel(vis) > mean sobel(ir). A pair whose first draw does not is
+    redrawn, at most ``REDRAWS`` times, before the set is refused.
     """
     os.makedirs(os.path.join(out_dir, "ir"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "vis"), exist_ok=True)
@@ -204,10 +213,13 @@ def make_synthetic_dataset(spec: SyntheticSceneSpec, out_dir: str,
     manifest = DatasetManifest(degradation=degradation,
                                base_dir=os.path.abspath(out_dir))
     for i in range(spec.count):
-        ir, vis = render_pair(spec, i)
-        if sobel_map(vis).mean() <= sobel_map(ir).mean():
-            raise AssertionError(
-                f"pair {i}: visible render lost its texture margin")
+        for redraw in range(REDRAWS + 1):
+            ir, vis = render_pair(spec, i, redraw)
+            if sobel_map(vis).mean() > sobel_map(ir).mean():
+                break
+        else:
+            raise AssertionError(f"pair {i}: visible render lost its "
+                                 f"texture margin in {REDRAWS + 1} draws")
         ir_rel = os.path.join("ir", f"{i:04d}.png")
         vis_rel = os.path.join("vis", f"{i:04d}.png")
         save_image(ir, os.path.join(out_dir, ir_rel))

@@ -78,18 +78,13 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _as_f32(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=_ACTIVE_DTYPE)
-    return arr
-
-
 class Tensor:
     """A float32 array plus an optional gradient and backward-graph node."""
 
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f32(data)
+        self.data = np.asarray(data, dtype=_ACTIVE_DTYPE)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._prev: tuple = ()
@@ -112,9 +107,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Same data, no graph; used to stop gradients at a boundary."""
         return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op or 'leaf'})"
@@ -548,7 +540,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
 
     Per element: |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
-    x.zero_grad()
+    x.grad = None
     out = f(x)
     backward(out)
     if x.grad is None:

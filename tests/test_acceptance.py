@@ -412,7 +412,7 @@ def test_criterion_12_degradation_monotonicity(stage1_runs,
             degradation=DegradationSpec(scale=2, blur_sigma=sigma, seed=9))
         gen, config = generator_from_checkpoint(ckpt)
         for i in range(corpus):
-            hr, _ = man.load_hr_pair(i)
+            hr = man.load_ir(i)
             lr = man.lr_for(hr, i, "ir-noise")
             from dasr.pipeline import super_resolve
             sr = super_resolve(gen, lr)

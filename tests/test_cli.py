@@ -481,14 +481,20 @@ class TestMetricsCmd:
         assert lines[-1] == (f"mean,{row.psnr:.4f},{row.mse:.4f},"
                              f"{row.ssim:.4f}")
 
-    def test_unmatched_names_listed(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cmd", ["metrics", "residual"])
+    def test_unmatched_names_listed(self, tmp_path, capsys, cmd):
+        # both subcommands pair HR and SR files by one rule
         hr_d, sr_d = tmp_path / "hr", tmp_path / "sr"
         hr_d.mkdir(), sr_d.mkdir()
+        for d in (hr_d, sr_d):
+            save_image(Image(np.zeros((8, 8, 1))), str(d / "both.png"))
         save_image(Image(np.zeros((8, 8, 1))), str(hr_d / "only_hr.png"))
         save_image(Image(np.zeros((8, 8, 1))), str(sr_d / "only_sr.png"))
-        assert run(["metrics", "--hr", str(hr_d), "--sr", str(sr_d)]) == 1
-        err = capsys.readouterr().err
-        assert "only_hr.png" in err and "only_sr.png" in err
+        out = ["--out", str(tmp_path / "out")] if cmd == "residual" else []
+        assert run([cmd, "--hr", str(hr_d), "--sr", str(sr_d)] + out) == 1
+        captured = capsys.readouterr()
+        assert "only_hr.png" in captured.err and "only_sr.png" in captured.err
+        assert captured.out == ""
 
 
 class TestSobelCmd:

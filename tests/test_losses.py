@@ -127,10 +127,11 @@ class TestTrans:
         rng = np.random.default_rng(4)
         pred = Tensor(rng.random((1, 1, 32, 32)))
         target = Tensor(rng.random((1, 1, 32, 32)))
-        d.zero_grad()
+        grad = d.slabs()[1]
         T.backward(l_trans(pred, target, d(pred)[1], d(target)[1],
                            "prior-branch"))
-        touched = [p.name for p in d.parameters() if p.grad is not None]
+        assert grad.any()
+        touched = [p.name for p in d.parameters() if p.grad.any()]
         assert any(name.startswith("prior.conv") for name in touched)
 
     def test_bad_mode_and_shape(self):
@@ -241,7 +242,6 @@ class TestOptimizationDirections:
                                0.1)
 
             before = loss_value()
-            gen.zero_grad()
             T.backward(before)
             for p in gen.parameters():
                 if p.grad is not None:

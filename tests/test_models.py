@@ -66,7 +66,7 @@ class TestGenerator:
             rng = np.random.default_rng(100 + seed)
             lr = Tensor(rng.random((2, 1, 8, 8)))
             hr = Tensor(rng.random((2, 1, 16, 16)))
-            state = AdamState()
+            state = AdamState(gen)
             before = T.reduce_mean_abs_diff(gen(lr), hr)
             T.backward(before)
             adam_step(gen.parameters(), state, lr=1e-3)
@@ -228,6 +228,7 @@ class TestUntracked:
         # the block decides which tensors get a gradient when the graph is
         # built, not when it is walked
         d = make()
+        grad = d.slabs()[1]
 
         def loss_of(x):
             out = d(x)  # DiscTrans returns (logit, prior latent)
@@ -242,7 +243,7 @@ class TestUntracked:
             loss = loss_of(outside)
         assert all(p.requires_grad for p in d.parameters())
         T.backward(loss)
-        assert all(p.grad is None for p in d.parameters())
+        assert not grad.any()
         assert np.array_equal(outside.grad, inside.grad)
 
 
@@ -301,3 +302,46 @@ class TestNamedTensors:
         broken[first] = np.zeros((1, 2, 3))
         with pytest.raises(ValueError, match="shape"):
             gen.load_named_tensors(broken)
+
+
+class TestSlabs:
+    def test_adam_state_packs_every_parameter_into_the_slabs(self):
+        gen = Generator(tiny_config(), seed=18)
+        before = dict((k, v.copy()) for k, v in gen.named_tensors())
+        AdamState(gen)
+        data, grad = gen.slabs()
+        assert data.dtype == grad.dtype == np.float32
+        assert data.size == grad.size == gen.param_count()
+        assert not grad.any()
+        ofs = 0
+        for p in gen.parameters():
+            assert np.shares_memory(p.data, data)
+            assert np.shares_memory(p.grad, grad)
+            # views in sorted-name order, values kept
+            assert np.array_equal(data[ofs:ofs + p.size].reshape(p.shape),
+                                  before[p.name])
+            ofs += p.size
+        assert gen.slabs()[0] is data  # packed once
+
+    def test_backward_adds_into_the_gradient_slab(self):
+        d = DiscSpre(16, 1)
+        grad = d.slabs()[1]
+        x = Tensor(np.random.default_rng(19).random((2, 1, 16, 16)))
+        T.backward(T.mean(d(x)))
+        assert grad.any()
+        assert all(np.shares_memory(p.grad, grad) for p in d.parameters())
+
+    def test_load_after_packing_reaches_the_next_forward(self):
+        gen = Generator(tiny_config(), seed=20)
+        AdamState(gen)
+        other = Generator(tiny_config(), seed=21)
+        # a nonzero output conv, so the learned path shows in the output
+        tensors = {k: v + 0.01 for k, v in other.named_tensors()}
+        other.load_named_tensors(tensors)
+        gen.load_named_tensors(tensors)
+        assert all(np.shares_memory(p.data, gen.slabs()[0])
+                   for p in gen.parameters())
+        lr = Tensor(np.random.default_rng(22).random((1, 1, 8, 8)))
+        assert np.array_equal(gen(lr).data, other(lr).data)
+        assert not np.array_equal(gen(lr).data,
+                                  Generator(tiny_config(), seed=20)(lr).data)

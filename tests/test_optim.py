@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dasr.models import Model
 from dasr.optim import AdamState, adam_step, clip_grad_norm
 from dasr.tensor import Parameter
 
@@ -22,37 +23,47 @@ def reference_adam(w0, grad_fn, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
     return w, history
 
 
+class Params(Model):
+    """A model of loose named arrays."""
+
+    def __init__(self, **arrays):
+        super().__init__()
+        for name, arr in arrays.items():
+            self._add(name, np.asarray(arr, dtype=np.float32))
+
+
 def test_zero_gradient_leaves_parameters_unchanged():
-    p = Parameter(np.array([1.0, -2.0, 3.0]), name="p")
-    p.grad = np.zeros(3, dtype=np.float32)
-    before = p.data.copy()
-    adam_step([p], AdamState(), lr=0.1)
-    assert np.array_equal(p.data, before)
-    assert p.grad is None  # zeroed after the step
+    model = Params(p=[1.0, -2.0, 3.0])
+    state = AdamState(model)
+    before = model.slabs()[0].copy()
+    adam_step(model.parameters(), state, lr=0.1)
+    assert np.array_equal(model.slabs()[0], before)
 
 
 def test_first_step_magnitude_is_lr():
-    p = Parameter(np.array([0.0]), name="p")
-    p.grad = np.array([1.0], dtype=np.float32)
-    adam_step([p], AdamState(), lr=0.01)
+    model = Params(p=[0.0], q=[0.0, 0.0])
+    state = AdamState(model)
+    p, q = model.parameters()
+    p.grad[...] = 1.0
+    q.grad[...] = -2.0
+    adam_step(model.parameters(), state, lr=0.01)
     # bias correction makes the first update exactly lr (up to eps)
     assert abs(float(p.data[0]) + 0.01) < 1e-6
-
-
-def test_missing_grad_raises():
-    p = Parameter(np.array([1.0]), name="p")
-    with pytest.raises(ValueError, match="no gradient"):
-        adam_step([p], AdamState(), lr=0.1)
+    assert np.allclose(q.data, 0.01, atol=1e-6)
+    # the gradients are zeroed in place, so .grad still views the slab
+    assert not model.slabs()[1].any()
+    assert np.shares_memory(p.grad, model.slabs()[1])
 
 
 def test_converges_on_quadratic_and_matches_reference():
-    p = Parameter(np.array([0.0]), name="w")
-    state = AdamState()
+    model = Params(w=[0.0])
+    state = AdamState(model)
+    (p,) = model.parameters()
     trajectory = []
     for _ in range(100):
         w = float(p.data[0])
-        p.grad = np.array([2.0 * (w - 3.0)], dtype=np.float32)
-        adam_step([p], state, lr=0.1)
+        p.grad[...] = 2.0 * (w - 3.0)
+        adam_step(model.parameters(), state, lr=0.1)
         trajectory.append(float(p.data[0]))
     ref_w, ref_hist = reference_adam(0.0, lambda w: 2.0 * (w - 3.0),
                                      lr=0.1, steps=100)
@@ -61,28 +72,17 @@ def test_converges_on_quadratic_and_matches_reference():
     assert np.allclose(trajectory, ref_hist, atol=1e-3)
 
 
-def test_moment_buffer_shape_guard():
-    state = AdamState()
-    p = Parameter(np.zeros(3), name="p")
-    p.grad = np.ones(3, dtype=np.float32)
-    adam_step([p], state, lr=0.1)
-    q = Parameter(np.zeros(4), name="p")  # same name, new shape
-    q.grad = np.ones(4, dtype=np.float32)
-    with pytest.raises(ValueError, match="shape"):
-        adam_step([q], state, lr=0.1)
-
-
-def test_moment_buffer_layout_is_fixed():
-    state = AdamState()
-    p = Parameter(np.zeros(3), name="p")
-    p.grad = np.ones(3, dtype=np.float32)
-    adam_step([p], state, lr=0.1)
-    q = Parameter(np.zeros(2), name="q")
-    for params in ([p, q], [q]):
-        for t in params:
-            t.grad = np.ones(t.shape, dtype=np.float32)
-        with pytest.raises(ValueError, match="does not match"):
+def test_other_models_parameters_refused():
+    # another model's parameters are not the state's, even under the same
+    # names and shapes, and neither is a reordered part of its own list
+    model = Params(p=np.zeros(3), q=[0.0])
+    state = AdamState(model)
+    for params in (Params(p=np.zeros(3), q=[0.0]).parameters(),
+                   Params(p=np.zeros(4), q=[0.0]).parameters(),
+                   model.parameters()[:1], model.parameters()[::-1]):
+        with pytest.raises(ValueError, match="state's model"):
             adam_step(params, state, lr=0.1)
+    assert state.step_count == 0
 
 
 def test_clip_grad_norm():

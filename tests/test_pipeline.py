@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dasr import checkpoint, pipeline, tensor as T
+from dasr import checkpoint, cli, pipeline, synth, tensor as T
 from dasr.checkpoint import (Checkpoint, CheckpointError, checkpoint_bytes,
                              load_checkpoint, save_checkpoint)
 from dasr.imaging import (DegradationSpec, Image, load_image, save_image,
@@ -25,7 +25,7 @@ from dasr.pipeline import (TrainConfig, build_generator, evaluate_checkpoint,
                            generator_from_checkpoint, super_resolve,
                            train_stage1, train_stage2)
 from dasr.synth import (DatasetManifest, ManifestEntry, SyntheticSceneSpec,
-                        make_synthetic_dataset)
+                        make_synthetic_dataset, render_pair)
 from dasr.tensor import Tensor
 from test_models import dense_sobel_weight
 
@@ -62,6 +62,37 @@ def stage1_ckpt(dataset):
 
 
 class TestSynth:
+    def test_pair_without_margin_is_redrawn_alone(self, tmp_path):
+        # seed 2109's pair 12 loses its texture margin on the first draw;
+        # its neighbours keep the bytes of their first draw
+        spec = SyntheticSceneSpec(count=24, extent=48, seed=2109)
+        made = make_synthetic_dataset(spec, str(tmp_path / "set"))
+        for i in (11, 12, 13):
+            ir, vis = render_pair(spec, i)
+            first = str(tmp_path / f"first{i}.png")
+            save_image(ir, first)
+            saved = os.path.join(made.base_dir, made.entries[i].ir)
+            kept = open(first, "rb").read() == open(saved, "rb").read()
+            assert kept == (i != 12)
+            assert (sobel_map(vis).mean() > sobel_map(ir).mean()) == kept
+            assert (sobel_map(made.load_vis(i)).mean()
+                    > sobel_map(made.load_ir(i)).mean())
+
+    def test_refused_when_every_draw_loses_the_margin(self, tmp_path,
+                                                     monkeypatch):
+        draws = []
+
+        def flat(spec, idx, redraw=0):
+            draws.append(redraw)
+            img = Image(np.full((spec.extent, spec.extent, 1), 0.5))
+            return img, img
+
+        monkeypatch.setattr(synth, "render_pair", flat)
+        with pytest.raises(AssertionError, match="pair 0: .*texture margin"):
+            make_synthetic_dataset(SyntheticSceneSpec(count=2, extent=16),
+                                   str(tmp_path))
+        assert draws == list(range(synth.REDRAWS + 1))
+
     def test_deterministic_rerun(self, tmp_path):
         spec = SyntheticSceneSpec(count=8, extent=32, seed=7)
         a = tmp_path / "a"
@@ -73,13 +104,13 @@ class TestSynth:
     def test_pair_count_and_alignment(self, dataset):
         assert len(dataset.entries) == 6
         for i in range(len(dataset.entries)):
-            ir, vis = dataset.load_hr_pair(i)
+            ir, vis = dataset.load_ir(i), dataset.load_vis(i)
             assert vis is not None
             assert (ir.height, ir.width) == (vis.height, vis.width)
 
     def test_visible_has_more_sobel_energy(self, dataset):
         for i in range(len(dataset.entries)):
-            ir, vis = dataset.load_hr_pair(i)
+            ir, vis = dataset.load_ir(i), dataset.load_vis(i)
             assert sobel_map(vis).mean() > sobel_map(ir).mean()
 
 
@@ -90,7 +121,7 @@ class TestManifest:
         man = DatasetManifest(degradation=DegradationSpec(),
                               entries=[ManifestEntry(ir="odd.png")],
                               base_dir=str(tmp_path))
-        hr, _ = man.load_hr_pair(0)
+        hr = man.load_ir(0)
         assert (hr.height, hr.width) == (64, 64)
 
     def test_scale_is_the_degradation_scale(self, tmp_path):
@@ -100,10 +131,9 @@ class TestManifest:
         loaded = DatasetManifest.load(str(tmp_path / "manifest.json"))
         assert made.scale == loaded.scale == 4
         for i in range(2):
-            hr, _ = made.load_hr_pair(i)
+            hr = made.load_ir(i)
             lr_made = made.lr_for(hr, i, "ir-noise")
-            lr_loaded = loaded.lr_for(loaded.load_hr_pair(i)[0], i,
-                                      "ir-noise")
+            lr_loaded = loaded.lr_for(loaded.load_ir(i), i, "ir-noise")
             assert (lr_made.height, lr_made.width) == (8, 8)
             assert lr_made.array.tobytes() == lr_loaded.array.tobytes()
 
@@ -306,18 +336,16 @@ class TestGeneratorStep:
     @pytest.mark.parametrize("stage", [1, 2])
     def test_discriminator_gets_no_gradient(self, dataset, stage1_ckpt,
                                             monkeypatch, stage):
-        # the discriminator is a constant in the generator step, so none of
-        # its weights gets a gradient that its next zero_grad would discard
+        # the discriminator is a constant in the generator step, so its
+        # gradient slab, which its own Adam step left at zero, stays zero
         discs, left = [], []
         inner = pipeline._update
 
         def spy(model, loss, state, config, step):
             if isinstance(model, Generator):
-                for d in discs:
-                    d.zero_grad()
                 inner(model, loss, state, config, step)
                 left.append([p.name for d in discs for p in d.parameters()
-                             if p.grad is not None])
+                             if p.grad.any()])
             else:
                 discs.append(model)
                 inner(model, loss, state, config, step)
@@ -330,6 +358,26 @@ class TestGeneratorStep:
         else:
             train_stage2(stage1_ckpt, dataset, config)
         assert discs and left and left == [[]] * len(left)
+
+
+class TestVisibleReads:
+    def test_only_stage2_reads_visible_images(self, dataset, stage1_ckpt,
+                                              monkeypatch):
+        reads = []
+        inner = DatasetManifest.load_vis
+
+        def spy(manifest, idx):
+            reads.append(idx)
+            return inner(manifest, idx)
+
+        monkeypatch.setattr(DatasetManifest, "load_vis", spy)
+        train_stage1(dataset, small_config(steps_stage1=1))
+        evaluate_checkpoint(stage1_ckpt, dataset)
+        assert cli.main(["eval", "--self-check", "--data",
+                         dataset.base_dir]) == 0
+        assert reads == []
+        train_stage2(stage1_ckpt, dataset, small_config(steps_stage2=1))
+        assert reads == list(range(len(dataset.entries)))
 
 
 class TestCheckpointFormat:
@@ -451,7 +499,7 @@ class TestEvaluate:
     def test_hr_vs_hr_sanity(self, dataset):
         pairs = []
         for i in range(len(dataset.entries)):
-            hr, _ = dataset.load_hr_pair(i)
+            hr = dataset.load_ir(i)
             pairs.append((hr, hr))
         row = evaluate_set(pairs, "self", 2)
         assert row.mse == 0.0
@@ -499,7 +547,7 @@ class TestEvaluate:
 
     def test_tiled_inference_covers_and_blends(self, dataset, stage1_ckpt):
         gen, _ = generator_from_checkpoint(stage1_ckpt)
-        hr, _ = dataset.load_hr_pair(0)
+        hr = dataset.load_ir(0)
         lr = dataset.lr_for(hr, 0, "ir-noise")
         whole = super_resolve(gen, lr, tile=64, overlap=8)
         tiled = super_resolve(gen, lr, tile=16, overlap=8)
@@ -534,7 +582,7 @@ class TestScale4EndToEnd:
         assert (model_row.scale, model_row.count) == (4, 2)
         assert math.isfinite(model_row.psnr)
         for i in range(2):
-            lr = data.lr_for(data.load_hr_pair(i)[0], i, "ir-noise")
+            lr = data.lr_for(data.load_ir(i), i, "ir-noise")
             sr = load_image(str(tmp_path / "sr" / f"{i:04d}_sr.png"))
             assert (sr.height, sr.width) == (4 * lr.height, 4 * lr.width)
         path = tmp_path / "s2.dasr"
