@@ -169,7 +169,8 @@ def sobel_channels(x: Tensor) -> Tensor:
 
 
 class DenseBlock:
-    """Five 3x3 convs with dense concatenation and a scaled residual."""
+    """Five 3x3 convs with dense concatenation and a scaled residual, run
+    as one ``tensor.dense_block`` op."""
 
     def __init__(self, model: Model, name: str, channels: int, growth: int,
                  residual_scale: float, rng: np.random.Generator):
@@ -184,12 +185,8 @@ class DenseBlock:
                                       rng))
 
     def __call__(self, x: Tensor) -> Tensor:
-        feats = [x]
-        for conv in self.convs[:-1]:
-            inp = feats[0] if len(feats) == 1 else T.concat(feats, axis=1)
-            feats.append(T.leaky_relu(conv(inp), LRELU_SLOPE))
-        out = self.convs[-1](T.concat(feats, axis=1))
-        return T.add(x, T.scale(out, self.residual_scale))
+        return T.dense_block(x, [(c.weight, c.bias) for c in self.convs],
+                             LRELU_SLOPE, self.residual_scale)
 
 
 class RRDB:

@@ -1,10 +1,10 @@
 """Dense float32 tensors with reverse-mode automatic differentiation.
 
 The engine is deliberately small: every operation needed by the networks in
-this package (strided convolution, leaky ReLU, pixel shuffle, concatenation,
-affine maps, reductions) builds a backward graph of closures, and
-``backward`` walks it in reverse topological order. Graphs are rebuilt every
-training step.
+this package (strided convolution, a whole dense block, leaky ReLU, pixel
+shuffle, concatenation, affine maps, reductions) builds a backward graph of
+closures, and ``backward`` walks it in reverse topological order. Graphs are
+rebuilt every training step.
 
 A node's closure takes the gradient of its output and returns a sequence
 with one gradient per input (its ``_prev``), ``None`` for an input it did
@@ -15,12 +15,13 @@ node's closure has run, and only leaves (tensors without a closure) get a
 
 Graphs are acyclic: a node refers to its inputs, never to its outputs or to
 a container the caller keeps growing, so reference counting frees a graph,
-with the padded inputs and window matrices its convolutions keep, as soon
-as its last output is dropped; no cyclic garbage collection is needed.
+with the padded inputs, slabs and window matrices its convolutions keep, as
+soon as its last output is dropped; no cyclic garbage collection is needed.
 
 ``no_grad()`` is a context manager in the manner of ``torch.no_grad``: ops
 run inside it build no graph (outputs have no ``_prev``/``_backward`` and
-``requires_grad`` is False), and ``conv2d`` keeps nothing for a backward.
+``requires_grad`` is False), and ``conv2d`` and ``dense_block`` keep nothing
+for a backward.
 Forward values are the same bits as outside it. Inference and the noise
 pattern's feature targets use it.
 
@@ -32,6 +33,10 @@ Conventions:
     convs keep their input's window matrix (kh·kw times the input). The
     rule reads shapes only, so graph and ``no_grad`` forwards are the same
     bits. Backward, like ``linear``'s, runs in the forward dtype.
+  * ``dense_block`` runs a generator dense block (its convs, leaky ReLUs,
+    concatenations and scaled residual) as one op with the same shifted-run
+    conv code, over one padded slab that holds its input and every
+    activation; its graph keeps that slab and the stacked weights.
   * Reductions accumulate in float64 and emit float32 scalars.
 """
 
@@ -300,14 +305,89 @@ def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
             ho: int, wo: int) -> np.ndarray:
-    """Padded [N,C,H,W] -> [N, C*kh*kw, Ho*Wo]: one copy of a strided
-    [N, C, kh, kw, Ho, Wo] window view of ``x``."""
+    """Padded contiguous [N,C,H,W] -> [N, C*kh*kw, Ho*Wo]: one copy of a
+    strided [N, C, kh, kw, Ho, Wo] window view of ``x``."""
     n, c = x.shape[0], x.shape[1]
     sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x, (n, c, kh, kw, ho, wo),
-        (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    windows = np.ndarray((n, c, kh, kw, ho, wo), x.dtype, x, 0,
+                         (sn, sc, sh, sw, sh * stride, sw * stride))
     return windows.copy().reshape(n, c * kh * kw, ho * wo)
+
+
+# Shifted-run convolution, shared by conv2d's stride-1 narrowing path and
+# dense_block. A zero-padded [N, C, Hp, Wp] input read flat by rows is a
+# [N, C, L] slab, L = Hp·Wp, and its window offset (i, j) is the run of ho
+# rows of wo elements, Wp apart, from i·Wp + j. With the stacked weight Ws
+# [kh·kw·Cout, Cin], whose row block i·kw + j is W[:, :, i, j], the conv is
+# one product Y = Ws·slab summed over the run (i, j) of each row block (i, j).
+# With Gs [N, kh·kw·Cout, L], G copied to each run and zero elsewhere,
+# dW = Σₙ Gs·slabᵀ and dslab = Wsᵀ·Gs.
+#
+# Slabs and Gs carry zero columns past L up to a multiple of 32, which dW's
+# inner extent then is: OpenBLAS 0.3.31's threaded sgemm (Haswell kernels)
+# sums an inner extent above 448 that is not a multiple of 32 in another
+# order than one thread does, which would tie checkpoint bytes to the BLAS
+# thread count.
+
+def _slab(n: int, c: int, hp: int, wp: int, dtype
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """A zeroed [N, C, L'] slab, L' = Hp·Wp rounded up to a multiple of 32,
+    and the [N, C, Hp, Wp] view of its first Hp·Wp columns."""
+    flat = np.zeros((n, c, -(-hp * wp // 32) * 32), dtype=dtype)
+    return flat, flat[:, :, :hp * wp].reshape(n, c, hp, wp)
+
+
+def _stack_weight(w: np.ndarray, dtype) -> np.ndarray:
+    """[Cout, Cin, kh, kw] -> the stacked [kh·kw·Cout, Cin] weight."""
+    return np.ascontiguousarray(
+        w.transpose(2, 3, 0, 1).reshape(-1, w.shape[1]), dtype=dtype)
+
+
+def _shifted(a: np.ndarray, kh: int, kw: int, wp: int, ho: int,
+             wo: int) -> np.ndarray:
+    """[N, kh·kw·Cout, L] contiguous -> the [N, kh, kw, Cout, ho, wo] view
+    whose (i, j) block is row block (i, j)'s run from i·Wp + j, trimmed to
+    wo columns a row."""
+    n, m, length = a.shape
+    cout, s = m // (kh * kw), a.itemsize
+    return np.ndarray((n, kh, kw, cout, ho, wo), a.dtype, a, 0,
+                      (a.strides[0], (kw * cout * length + wp) * s,
+                       (cout * length + 1) * s, length * s, wp * s, s))
+
+
+def _run_forward(slab: np.ndarray, ws: np.ndarray, kh: int, kw: int,
+                 wp: int, ho: int, wo: int) -> np.ndarray:
+    """Conv of a [N, Cin, L'] slab (a channel prefix may be a view) with the
+    stacked weight: [N, Cout, ho, wo], contiguous."""
+    y = np.matmul(ws, slab[:, :, :(ho + kh - 1) * wp])
+    return _shifted(y, kh, kw, wp, ho, wo).sum(axis=(1, 2))
+
+
+def _run_shift(g: np.ndarray, kh: int, kw: int, wp: int,
+               length: int) -> np.ndarray:
+    """G [N, Cout, ho, wo] -> Gs [N, kh·kw·Cout, L']: G shifted to each
+    run, L' the slab's length."""
+    n, cout, ho, wo = g.shape
+    gs = np.zeros((n, kh * kw * cout, length), dtype=g.dtype)
+    _shifted(gs, kh, kw, wp, ho, wo)[...] = g[:, None, None]
+    return gs
+
+
+def _run_dw(slab: np.ndarray, gs: np.ndarray, kh: int, kw: int
+            ) -> np.ndarray:
+    """dW [Cout, Cin, kh, kw] = Σₙ Gs·slabᵀ, unstacked."""
+    dw = np.matmul(gs, slab.transpose(0, 2, 1))
+    dw = dw[0] if dw.shape[0] == 1 else dw.sum(axis=0)
+    return np.ascontiguousarray(
+        dw.reshape(kh, kw, -1, slab.shape[1]).transpose(2, 3, 0, 1))
+
+
+def _run_dx(ws: np.ndarray, gs: np.ndarray, top: int, h: int,
+            wp: int) -> np.ndarray:
+    """Rows top..top+h-1, the input's, of dslab [N, Cin, Hp, Wp] = Wsᵀ·Gs,
+    through the transpose view of Ws."""
+    dx = np.matmul(ws.T, gs[:, :, top * wp:(top + h) * wp])
+    return dx.reshape(gs.shape[0], ws.shape[1], h, wp)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
@@ -318,15 +398,13 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     Output extent along each spatial axis: (H + 2*padding - kh)//stride + 1.
 
     A stride-1 conv with Cout <= Cin and padding <= k-1 (the generator's
-    dense-block convs, ``trunk_conv`` and ``conv_last``) builds no window
-    matrix of x. Zero-padded with one spare row and read flat by rows, x
-    holds window offset (i, j) as one run of ho·Wp elements from i·Wp + j,
-    whose last Wp-wo columns a row run into the next row. out is one
-    batched product of the [kh, kw, Cout, Cin] weight with the runs, summed
-    over the offsets, minus those columns; dW is one batched product of the
-    runs with Gᵀ widened by zero rows there. The graph keeps only the
-    padded x. dx is one product of the flipped [Cin, Cout·kh·kw] weight
-    with the window matrix of G padded by k-1-padding, no taller than x's.
+    ``trunk_conv`` and ``conv_last``; its dense-block convs run the same
+    code in ``dense_block``) builds no window matrix of x. Zero-padded and
+    read flat by rows, x is a slab whose window offsets are shifted runs:
+    out is one product of the stacked [kh·kw·Cout, Cin] weight with the
+    slab, summed over the runs; dW is one product of the slab with kh·kw
+    shifted copies of G, and dx the transpose view of the stacked weight
+    times those copies. The graph keeps the padded x and the stacked weight.
 
     Other convs keep the window matrix ``cols`` of the padded x: out =
     W·cols, dW = Σₙ Gₙ·colsₙᵀ, and dx scatter-adds Wᵀ·G over the kh·kw
@@ -360,23 +438,16 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
                                    (w if b is None else b).data.dtype)
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    wc = w.data.astype(compute_dtype, copy=False)
     narrowing = stride == 1 and cout <= cin and padding < min(kh, kw)
     if narrowing:
-        xp = np.zeros((n, cin, hp + 1, wp), dtype=compute_dtype)
+        saved, xp = _slab(n, cin, hp, wp, compute_dtype)
+        length = saved.shape[2]
         xp[:, :, padding:padding + h, padding:padding + wd] = x.data
-        # [N, kh, kw, Cin, ho·Wp]: the run of each flat channel from i·Wp + j
-        runs = np.ndarray((n, kh, kw, cin, ho * wp), compute_dtype, xp, 0,
-                          (xp.strides[0], xp.strides[2], xp.itemsize,
-                           xp.strides[1], xp.itemsize))
-        out_data = np.matmul(np.ascontiguousarray(wc.transpose(2, 3, 0, 1)),
-                             runs)
-        out_data = np.ascontiguousarray(
-            out_data.reshape(n, kh * kw, -1).sum(axis=1)
-            .reshape(n, cout, ho, wp)[..., :wo])
-        saved = runs
+        wc = _stack_weight(w.data, compute_dtype)
+        out_data = _run_forward(saved, wc, kh, kw, wp, ho, wo)
     else:
-        saved = _im2col(_pad2d(x.data.astype(compute_dtype, copy=False),
+        wc = w.data.astype(compute_dtype, copy=False)
+        saved = _im2col(_pad2d(np.ascontiguousarray(x.data, compute_dtype),
                                padding, padding), kh, kw, stride, ho, wo)
         out_data = np.matmul(wc.reshape(cout, -1)[None], saved).reshape(
             n, cout, ho, wo)
@@ -392,35 +463,109 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 
     def backward(g):
         dx = dw = None
-        gmat = g.reshape(n, cout, ho * wo)
-        if need_w and narrowing:
-            # Gᵀ widened to the runs' Wp columns by zero rows
-            gt = np.zeros((n, 1, 1, ho, wp, cout), dtype=g.dtype)
-            gt[:, 0, 0, :, :wo] = g.transpose(0, 2, 3, 1)
-            dw = np.matmul(saved, gt.reshape(n, 1, 1, ho * wp, cout))
-            dw = np.ascontiguousarray(dw.sum(axis=0).transpose(3, 2, 0, 1))
-        elif need_w:
-            dw = (np.matmul(gmat, saved.transpose(0, 2, 1)).sum(axis=0)
-                  .reshape(w.shape))
-        if need_x and narrowing:
-            gcols = _im2col(_pad2d(g, kh - 1 - padding, kw - 1 - padding),
-                            kh, kw, 1, h, wd)
-            wflip = (wc[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                     .reshape(cin, -1))
-            dx = np.matmul(wflip[None], gcols).reshape(n, cin, h, wd)
-        elif need_x:
-            dcols = np.matmul(wc.reshape(cout, -1).T[None], gmat).reshape(
-                n, cin, kh, kw, ho, wo)
-            dxp = np.zeros((n, cin, hp, wp), dtype=dcols.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i:i + stride * ho:stride,
-                        j:j + stride * wo:stride] += dcols[:, :, i, j]
-            dx = dxp[:, :, padding:padding + h, padding:padding + wd]
+        if narrowing:
+            gs = _run_shift(g, kh, kw, wp, length)
+            if need_w:
+                dw = _run_dw(saved, gs, kh, kw)
+            if need_x:
+                dx = _run_dx(wc, gs, padding, h, wp)[
+                    ..., padding:padding + wd]
+        else:
+            gmat = g.reshape(n, cout, ho * wo)
+            if need_w:
+                dw = (np.matmul(gmat, saved.transpose(0, 2, 1)).sum(axis=0)
+                      .reshape(w.shape))
+            if need_x:
+                dcols = np.matmul(wc.reshape(cout, -1).T[None], gmat).reshape(
+                    n, cin, kh, kw, ho, wo)
+                dxp = np.zeros((n, cin, hp, wp), dtype=dcols.dtype)
+                for i in range(kh):
+                    for j in range(kw):
+                        dxp[:, :, i:i + stride * ho:stride,
+                            j:j + stride * wo:stride] += dcols[:, :, i, j]
+                dx = dxp[:, :, padding:padding + h, padding:padding + wd]
         db = g.sum(axis=(0, 2, 3)) if need_b else None
         return (dx, dw) if b is None else (dx, dw, db)
 
     return _make(out_data, parents, backward, "conv2d")
+
+
+def dense_block(x: Tensor, convs: Sequence[tuple[Tensor, Tensor]],
+                slope: float, residual_scale: float) -> Tensor:
+    """A dense block of 3x3, padding-1 convs as one op:
+    x + residual_scale·convₖ([x, a₀, …, aₖ₋₁]), where
+    aᵢ = leaky_relu(convᵢ([x, a₀, …, aᵢ₋₁]), slope) and [..] concatenates
+    channels. ``convs`` holds (weight, bias) pairs; the last maps back to
+    x's channels.
+
+    One zero-padded [N, C+ΣGᵢ, H+2, W+2] slab holds x and each aᵢ in its
+    own channel band, and conv i reads the slab's first C+G₀+…+Gᵢ₋₁
+    channels in place as shifted runs (see ``conv2d``). The graph keeps
+    the slab and the stacked weights. The backward walks the convs in
+    reverse with one slab gradient and takes each leaky-ReLU mask from the
+    sign of the stored aᵢ, the same test as on the pre-activation since
+    slope > 0.
+    """
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"dense_block: slope must be in (0,1), got {slope}")
+    if x.data.ndim != 4:
+        raise ValueError(
+            f"dense_block: input must be 4-D, got shape {x.shape}")
+    n, c, h, wd = x.shape
+    last = len(convs) - 1
+    cins = [c]  # conv i's in-channels; conv i's band is cins[i]:cins[i+1]
+    for i, (w, b) in enumerate(convs):
+        cout = c if i == last else w.shape[0]
+        if w.shape != (cout, cins[i], 3, 3) or b.shape != (cout,):
+            raise ValueError(
+                f"dense_block: conv{i} weight {w.shape} and bias {b.shape} "
+                f"do not map {cins[i]} to {cout} channels with a 3x3 kernel")
+        if i < last:
+            cins.append(cins[i] + cout)
+    dtype = np.result_type(x.data.dtype,
+                           *(t.data.dtype for conv in convs for t in conv))
+    slope32 = np.float32(slope)
+    wp = wd + 2
+    flat, slab = _slab(n, cins[-1], h + 2, wp, dtype)
+    inner = slab[:, :, 1:h + 1, 1:wd + 1]
+    inner[:, :c] = x.data
+    stacks = [_stack_weight(w.data, dtype) for w, _ in convs]
+    for i, ((_, b), ws) in enumerate(zip(convs, stacks)):
+        pre = _run_forward(flat[:, :cins[i]], ws, 3, 3, wp, h, wd)
+        pre += b.data[None, :, None, None]
+        if i < last:
+            inner[:, cins[i]:cins[i + 1]] = np.where(pre > 0, pre,
+                                                     pre * slope32)
+    out_data = x.data + pre * np.float32(residual_scale)
+
+    parents = (x,) + tuple(t for conv in convs for t in conv)
+    # read now: a parameter held constant at build time gets no gradient
+    need = [t.requires_grad for t in parents]
+
+    def backward(g):
+        grads = [None] * len(parents)
+        gi = g * np.float32(residual_scale)
+        for i in range(last, -1, -1):
+            if i < last:
+                band = slice(cins[i], cins[i + 1])
+                da = dslab[:, band, :, 1:wd + 1]
+                gi = np.where(inner[:, band] > 0, da, da * slope32)
+            gs = _run_shift(gi, 3, 3, wp, flat.shape[2])
+            if need[1 + 2 * i]:
+                grads[1 + 2 * i] = _run_dw(flat[:, :cins[i]], gs, 3, 3)
+            if need[2 + 2 * i]:
+                grads[2 + 2 * i] = gi.sum(axis=(0, 2, 3))
+            if i > 0 or need[0]:
+                dx = _run_dx(stacks[i], gs, 1, h, wp)
+                if i == last:
+                    dslab = dx  # the slab gradient's rows 1..h, summed
+                else:
+                    dslab[:, :cins[i]] += dx
+        if need[0]:
+            grads[0] = g + dslab[:, :c, :, 1:wd + 1]
+        return grads
+
+    return _make(out_data, parents, backward, "dense_block")
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -534,11 +679,12 @@ def backward(loss: Tensor) -> None:
                 acc += pg
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
-               eps: float = 1e-3) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Per element: |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+def grad_compare(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(analytic, numeric, worst): the gradient of the scalar f(x) by
+    ``backward`` and by central differences, both float64, and their max
+    per-element relative error |analytic - numeric| / max(|analytic|,
+    |numeric|, 1e-8).
     """
     x.grad = None
     out = f(x)
@@ -562,4 +708,11 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
             nflat[i] = (fp - fm) / (2.0 * eps)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return analytic, numeric, float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor,
+               eps: float = 1e-3) -> float:
+    """Max per-element relative error between analytic and central-difference
+    gradients (see ``grad_compare``)."""
+    return grad_compare(f, x, eps)[2]

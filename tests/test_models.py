@@ -1,12 +1,14 @@
 """Network construction, shape contracts, constants, and gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dasr import tensor as T
-from dasr.models import (GENERATOR_PRESETS, DiscSpre, DiscTrans,
-                         FeatureExtractor, Generator, GeneratorConfig,
-                         sobel_channels)
+from dasr.models import (GENERATOR_PRESETS, LRELU_SLOPE, DiscSpre,
+                         DiscTrans, FeatureExtractor, Generator,
+                         GeneratorConfig, sobel_channels)
 from dasr.optim import AdamState, adam_step
 from dasr.tensor import Tensor
 
@@ -125,6 +127,159 @@ class TestRRDB:
         _, block = self._generator_with_block()
         with pytest.raises(ValueError, match="channels"):
             block(Tensor(np.zeros((1, 5, 5, 5))))
+
+
+def composed_dense_block(block, x):
+    """A dense block built from concat, conv2d and leaky_relu, one op each:
+    the reference ``T.dense_block`` must match."""
+    feats = [x]
+    for conv in block.convs[:-1]:
+        inp = feats[0] if len(feats) == 1 else T.concat(feats, axis=1)
+        feats.append(T.leaky_relu(T.conv2d(inp, conv.weight, conv.bias,
+                                           padding=1), LRELU_SLOPE))
+    last = block.convs[-1]
+    out = T.conv2d(T.concat(feats, axis=1), last.weight, last.bias, padding=1)
+    return T.add(x, T.scale(out, block.residual_scale))
+
+
+class TestDenseBlockOp:
+    @staticmethod
+    def _desk_block(seed=31):
+        gen = Generator(DESK_CONFIG, seed=seed)
+        return gen, gen.blocks[0].blocks[1]
+
+    @staticmethod
+    def _grads(gen, block, fn, x_data, probe):
+        for p in gen.parameters():
+            p.grad = None
+        x = Tensor(x_data, requires_grad=True)
+        y = fn(x)
+        T.backward(T.sum_all(T.mul(y, probe)))
+        return [y.data, x.grad] + [t.grad for c in block.convs
+                                   for t in (c.weight, c.bias)]
+
+    @pytest.mark.parametrize("shape", [(1, 32, 6, 6), (2, 32, 7, 5),
+                                       (4, 32, 32, 32)])
+    def test_matches_the_composed_block(self, shape):
+        gen, block = self._desk_block()
+        rng = np.random.default_rng(sum(shape))
+        x_data = rng.standard_normal(shape).astype(np.float32)
+        probe = Tensor(rng.standard_normal(shape))
+        got = self._grads(gen, block, block, x_data, probe)
+        want = self._grads(gen, block,
+                           lambda t: composed_dense_block(block, t),
+                           x_data, probe)
+        assert len(got) == 12  # output, dx, 5 weights, 5 biases
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-6 * np.abs(w).max()
+
+    def test_is_one_op_over_its_input(self):
+        _, block = self._desk_block()
+        x = Tensor(np.zeros((1, 32, 4, 4)), requires_grad=True)
+        y = block(x)
+        assert y._op == "dense_block"
+        assert y._prev[0] is x and len(y._prev) == 11
+
+    def test_gradient_check(self):
+        gen = Generator(tiny_config(), seed=32)
+        block = gen.blocks[0].blocks[0]
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.random((1, 4, 5, 5)) * 2 - 1, requires_grad=True)
+        # eps below the spacing of the leaky-relu kinks inside the block
+        assert T.grad_check(lambda t: T.mean(block(t)), x, eps=1e-4) < 1e-3
+        convs = [(c.weight, c.bias) for c in block.convs]
+        w2 = Tensor(block.convs[2].weight.data, requires_grad=True)
+
+        def with_w2(t):
+            pairs = convs[:2] + [(t, convs[2][1])] + convs[3:]
+            return T.mean(T.dense_block(x, pairs, LRELU_SLOPE, 0.2))
+
+        assert T.grad_check(with_w2, w2, eps=1e-4) < 1e-3
+
+    def test_precise_mode_computes_in_float64(self):
+        _, block = self._desk_block()
+        x = np.random.default_rng(34).standard_normal((2, 32, 5, 6))
+        with T.precise_mode():
+            got = block(Tensor(x)).data
+            want = composed_dense_block(block, Tensor(x)).data
+        assert got.dtype == want.dtype == np.float64
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+    def test_untracked_weights_get_no_gradient(self):
+        gen, block = self._desk_block()
+        rng = np.random.default_rng(35)
+        x_data = rng.standard_normal((2, 32, 6, 6)).astype(np.float32)
+        probe = Tensor(rng.standard_normal((2, 32, 6, 6)))
+        tracked = self._grads(gen, block, block, x_data, probe)
+        with gen.untracked():
+            held = self._grads(gen, block, block, x_data, probe)
+        assert all(g is None for g in held[2:])
+        assert np.array_equal(held[1], tracked[1])
+
+    def test_constant_input_still_gives_weight_gradients(self):
+        gen, block = self._desk_block()
+        rng = np.random.default_rng(39)
+        x_data = rng.standard_normal((1, 32, 6, 6)).astype(np.float32)
+        probe = Tensor(rng.standard_normal((1, 32, 6, 6)))
+        tracked = self._grads(gen, block, block, x_data, probe)
+        for p in gen.parameters():
+            p.grad = None
+        y = block(Tensor(x_data))
+        T.backward(T.sum_all(T.mul(y, probe)))
+        for c, want_w, want_b in zip(block.convs, tracked[2::2],
+                                     tracked[3::2]):
+            assert np.array_equal(c.weight.grad, want_w)
+            assert np.array_equal(c.bias.grad, want_b)
+
+    def test_no_grad_keeps_nothing(self):
+        _, block = self._desk_block()
+        x = Tensor(np.random.default_rng(36).standard_normal((4, 32, 32, 32)),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with T.no_grad():
+                y = block(x)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert y._prev == () and y._backward is None and not y.requires_grad
+        assert retained < y.data.nbytes + 2 ** 16
+
+    def test_graph_keeps_one_slab(self):
+        # 4 concatenations, 5 padded copies and 4 activations: 14.1 MB
+        # when the block was composed of one op per step
+        _, block = self._desk_block()
+        x = Tensor(np.random.default_rng(37).standard_normal((4, 32, 32, 32)),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = block(x)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert y._backward is not None
+        assert retained < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("bad", ["growth", "last", "kernel", "bias"])
+    def test_malformed_convs_rejected(self, bad):
+        rng = np.random.default_rng(38)
+        shapes = [(3, 4), (3, 7), (4, 10)]
+        convs = [[Tensor(rng.random((co, ci, 3, 3))), Tensor(np.zeros(co))]
+                 for co, ci in shapes]
+        if bad == "growth":
+            convs[1][0] = Tensor(rng.random((3, 6, 3, 3)))
+        elif bad == "last":
+            convs[2] = [Tensor(rng.random((3, 10, 3, 3))), Tensor(np.zeros(3))]
+        elif bad == "kernel":
+            convs[0][0] = Tensor(rng.random((3, 4, 1, 1)))
+        else:
+            convs[1][1] = Tensor(np.zeros(4))
+        x = Tensor(np.zeros((1, 4, 5, 5)))
+        with pytest.raises(ValueError, match="dense_block"):
+            T.dense_block(x, convs, LRELU_SLOPE, 0.2)
 
 
 class TestDiscSpre:

@@ -140,6 +140,28 @@ class TestConv2d:
 
             assert T.grad_check(loss, b) < 1e-5
 
+    def test_window_matrix_is_the_strided_window_copy(self):
+        rng = np.random.default_rng(8)
+        x = rng.random((2, 3, 7, 6)).astype(np.float32)
+        for stride in (1, 2):
+            ho, wo = (7 - 3) // stride + 1, (6 - 3) // stride + 1
+            view = np.lib.stride_tricks.sliding_window_view(
+                x, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+            want = view.transpose(0, 1, 4, 5, 2, 3).reshape(2, 27, ho * wo)
+            assert np.array_equal(T._im2col(x, 3, 3, stride, ho, wo), want)
+
+    def test_unpadded_window_matrix_of_a_strided_input(self):
+        # padding 0 hands x itself to the window view, which needs it
+        # contiguous; a reversed view must give the contiguous copy's output
+        rng = np.random.default_rng(9)
+        base = rng.random((1, 2, 7, 7)).astype(np.float32)
+        w = Tensor(rng.random((5, 2, 3, 3)) * 2 - 1)
+        for stride in (1, 2):
+            got = T.conv2d(Tensor(base[..., ::-1]), w, stride=stride).data
+            want = T.conv2d(Tensor(base[..., ::-1].copy()), w,
+                            stride=stride).data
+            assert np.array_equal(got, want)
+
 
 def windows_ref(x, w, g, pad):
     """float64 window-matrix reference of a stride-1 conv: the output, and
@@ -444,6 +466,16 @@ class TestGradCheck:
         x = Tensor(np.arange(1, 5, dtype=np.float32), requires_grad=True)
         err = T.grad_check(doubled_sum, x)
         assert err == pytest.approx(0.5, abs=1e-3)
+
+    def test_compare_returns_both_gradients_and_the_worst_error(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.random(6) * 2 - 1, requires_grad=True)
+        f = lambda t: T.mean(T.mul(t, t))  # noqa: E731
+        analytic, numeric, worst = T.grad_compare(f, x)
+        assert analytic.dtype == numeric.dtype == np.float64
+        assert np.allclose(analytic, 2 * x.data / 6, rtol=1e-6)
+        assert np.allclose(numeric, analytic, rtol=1e-4)
+        assert worst == T.grad_check(f, x)
 
 
 class TestDeterminism:
