@@ -73,7 +73,8 @@ def sobel_l1(pred: Tensor, target: Tensor) -> Tensor:
     edge magnitude sqrt((Gh*I)^2 + (Gv*I)^2).
 
     Computed in float64 end to end (magnitudes, difference, mean) so it
-    matches scalar oracles tightly; differentiable in both images.
+    matches scalar oracles tightly, and emitted in the dtype the two
+    images promote to; differentiable in both images.
     """
     if pred.shape != target.shape:
         raise ValueError(
@@ -108,7 +109,7 @@ def sobel_l1(pred: Tensor, target: Tensor) -> Tensor:
         gt = grad_of(*saved["t"], -sign, g) if need_t else None
         return gp, gt
 
-    return T._make(T._ACTIVE_DTYPE(acc), (pred, target), backward,
+    return T._make(T._scalar(acc, pred, target), (pred, target), backward,
                    "sobel_l1")
 
 

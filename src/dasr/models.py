@@ -102,15 +102,16 @@ class Model:
     @contextlib.contextmanager
     def untracked(self):
         """Hold the parameters as constants inside the block: a graph built
-        there gives them no gradient, wherever it is walked."""
-        params = self.parameters()
-        for p in params:
+        there gives them no gradient, wherever it is walked. Each flag is
+        restored on exit, so blocks nest."""
+        flags = [(p, p.requires_grad) for p in self._params.values()]
+        for p, _ in flags:
             p.requires_grad = False
         try:
             yield
         finally:
-            for p in params:
-                p.requires_grad = True
+            for p, flag in flags:
+                p.requires_grad = flag
 
     def param_count(self) -> int:
         return sum(p.size for p in self._params.values())

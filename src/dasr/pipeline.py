@@ -320,7 +320,8 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
         sr_vis = gen(lr_vis_t)
         sr_det = sr_vis.detach()
 
-        # noise pattern features (no gradients anywhere)
+        # noise pattern features: constant weights on a constant input, so
+        # no graph
         noise_imgs = []
         for bi in range(lr_vis_t.shape[0]):
             lr_img = Image(lr_vis_t.data[bi].transpose(1, 2, 0)
@@ -328,8 +329,7 @@ def train_stage2(stage1_ckpt: Checkpoint, manifest: DatasetManifest,
             noise_imgs.append(_noise_image(lr_img, hr_size,
                                            config.noise_sigma,
                                            derive_seed(noise_seed, bi)))
-        with T.no_grad():
-            noise_feats = fe(_to_nchw(noise_imgs))
+        noise_feats = fe(_to_nchw(noise_imgs))
 
         # discriminator step: maximize real/fake separation and the
         # texture-prior distance
@@ -428,15 +428,15 @@ def super_resolve(gen: Generator, lr: Image, tile: int = 64,
     LR pixels, planned to compute the fewest pixels; neighbouring tiles
     overlap by at least ``overlap`` and their seams are blended by averaging
     the overlapping predictions. An image of at most tile*tile pixels runs
-    as one tile, so its output is the generator's own. Builds no autograd
-    graph."""
+    as one tile, so its output is the generator's own. Holds the
+    generator's parameters untracked, so it builds no autograd graph."""
     lr = to_luma(lr)
     scale = gen.config.scale
     h, w = lr.height, lr.width
     th, ys, tw, xs = _tile_plan(h, w, tile, overlap)
     acc = np.zeros((h * scale, w * scale), dtype=np.float64)
     cnt = np.zeros((h * scale, w * scale), dtype=np.float64)
-    with T.no_grad():
+    with gen.untracked():
         for y in ys:
             for x in xs:
                 patch = lr.array[y:y + th, x:x + tw, 0]

@@ -18,31 +18,31 @@ a container the caller keeps growing, so reference counting frees a graph,
 with the padded inputs, slabs and window matrices its convolutions keep, as
 soon as its last output is dropped; no cyclic garbage collection is needed.
 
-``no_grad()`` is a context manager in the manner of ``torch.no_grad``: ops
-run inside it build no graph (outputs have no ``_prev``/``_backward`` and
-``requires_grad`` is False), and ``conv2d`` and ``dense_block`` keep nothing
-for a backward.
-Forward values are the same bits as outside it. Inference and the noise
-pattern's feature targets use it.
+The engine holds no mode. An op records a node if and only if one of its
+inputs has ``requires_grad`` (``Model.untracked()`` holds a model's
+parameters as constants, so inference builds no graph), and its output
+keeps the dtype its inputs promote to: only ``Tensor(data)`` casts, to
+float32, and ``grad_compare`` runs float64 by handing ``f`` a float64 input.
 
 Conventions:
   * 4-D tensors are laid out [batch, channel, height, width].
   * ``conv2d`` is cross-correlation (no kernel flip). A stride-1 conv that
     does not widen reads shifted runs of its flat padded input instead of
     building a window matrix, so its graph keeps about 1x its input; other
-    convs keep their input's window matrix (kh·kw times the input). The
-    rule reads shapes only, so graph and ``no_grad`` forwards are the same
-    bits. Backward, like ``linear``'s, runs in the forward dtype.
+    convs keep their input's window matrix (kh·kw times the input) when
+    the weight is tracked. The rule reads shapes only, so tracked and
+    constant forwards are the same bits. Backward, like ``linear``'s, runs
+    in the forward dtype.
   * ``dense_block`` runs a generator dense block (its convs, leaky ReLUs,
     concatenations and scaled residual) as one op with the same shifted-run
     conv code, over one padded slab that holds its input and every
     activation; its graph keeps that slab and the stacked weights.
-  * Reductions accumulate in float64 and emit float32 scalars.
+  * Reductions accumulate in float64 and emit a scalar in the dtype their
+    inputs promote to.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from typing import Callable, Optional, Sequence
 
@@ -51,45 +51,15 @@ import numpy as np
 # a node's closure: output gradient -> one gradient (or None) per input
 Backward = Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]
 
-# Forward dtype for newly built tensors. grad_check flips this to float64 for
-# its finite-difference evaluations so the divided differences are not
-# drowned by float32 quantization; everything else always runs float32.
-_ACTIVE_DTYPE = np.float32
-
-# False inside no_grad(): ops then record no graph
-_GRAD_ENABLED = True
-
-
-@contextlib.contextmanager
-def precise_mode():
-    global _ACTIVE_DTYPE
-    prev = _ACTIVE_DTYPE
-    _ACTIVE_DTYPE = np.float64
-    try:
-        yield
-    finally:
-        _ACTIVE_DTYPE = prev
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Run ops without recording a backward graph."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
-
 
 class Tensor:
-    """A float32 array plus an optional gradient and backward-graph node."""
+    """An array plus an optional gradient and backward-graph node;
+    ``Tensor(data)`` casts ``data`` to float32."""
 
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_ACTIVE_DTYPE)
+        self.data = np.asarray(data, dtype=np.float32)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._prev: tuple = ()
@@ -110,8 +80,8 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def detach(self) -> "Tensor":
-        """Same data, no graph; used to stop gradients at a boundary."""
-        return Tensor(self.data, requires_grad=False)
+        """The same array, no graph; used to stop gradients at a boundary."""
+        return _make(self.data, (), None, "")
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op or 'leaf'})"
@@ -131,14 +101,14 @@ class Parameter(Tensor):
 
 
 def _make(out_data, parents: Sequence[Tensor], backward, op: str) -> Tensor:
-    """Wrap op output; attach a node only if grad is enabled and some
+    """Wrap op output as it is, with no cast; attach a node only if some
     parent is tracked."""
-    out = Tensor(out_data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._prev = tuple(parents)
-        out._backward = backward
-        out._op = op
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.requires_grad = np.asarray(out_data), None, False
+    out._prev, out._backward, out._op = (), None, ""
+    if any(p.requires_grad for p in parents):
+        out.requires_grad, out._prev = True, tuple(parents)
+        out._backward, out._op = backward, op
     return out
 
 
@@ -256,13 +226,18 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 # reductions
 # ---------------------------------------------------------------------------
 
+def _scalar(acc: float, *inputs: Tensor) -> np.ndarray:
+    """A reduction's value in the dtype its inputs promote to."""
+    return np.array(acc, np.result_type(*(t.data for t in inputs)))
+
+
 def sum_all(x: Tensor) -> Tensor:
     acc = float(np.sum(x.data, dtype=np.float64))
 
     def backward(g):
         return (np.broadcast_to(g, x.shape).astype(np.float32),)
 
-    return _make(_ACTIVE_DTYPE(acc), (x,), backward, "sum")
+    return _make(_scalar(acc, x), (x,), backward, "sum")
 
 
 def mean(x: Tensor) -> Tensor:
@@ -272,7 +247,7 @@ def mean(x: Tensor) -> Tensor:
     def backward(g):
         return (np.full(x.shape, g / n, dtype=np.float32),)
 
-    return _make(_ACTIVE_DTYPE(acc), (x,), backward, "mean")
+    return _make(_scalar(acc, x), (x,), backward, "mean")
 
 
 def reduce_mean_abs_diff(a: Tensor, b: Tensor) -> Tensor:
@@ -287,7 +262,7 @@ def reduce_mean_abs_diff(a: Tensor, b: Tensor) -> Tensor:
         gd = sign * np.float32(g / n)
         return gd, -gd
 
-    return _make(_ACTIVE_DTYPE(acc), (a, b), backward, "mean_abs_diff")
+    return _make(_scalar(acc, a, b), (a, b), backward, "mean_abs_diff")
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +280,16 @@ def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
             ho: int, wo: int) -> np.ndarray:
-    """Padded contiguous [N,C,H,W] -> [N, C*kh*kw, Ho*Wo]: one copy of a
-    strided [N, C, kh, kw, Ho, Wo] window view of ``x``."""
+    """Padded contiguous [N,C,H,W] -> the window matrix [N, C*kh*kw, L']: a
+    strided [N, C, kh, kw, Ho, Wo] window view of ``x`` copied into the
+    first Ho*Wo columns of a ``_slab``."""
     n, c = x.shape[0], x.shape[1]
     sn, sc, sh, sw = x.strides
     windows = np.ndarray((n, c, kh, kw, ho, wo), x.dtype, x, 0,
                          (sn, sc, sh, sw, sh * stride, sw * stride))
-    return windows.copy().reshape(n, c * kh * kw, ho * wo)
+    cols, head = _slab(n, c * kh * kw, ho, wo, x.dtype)
+    head.reshape(n, c, kh, kw, ho, wo)[...] = windows
+    return cols
 
 
 # Shifted-run convolution, shared by conv2d's stride-1 narrowing path and
@@ -323,11 +301,11 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
 # With Gs [N, kh·kw·Cout, L], G copied to each run and zero elsewhere,
 # dW = Σₙ Gs·slabᵀ and dslab = Wsᵀ·Gs.
 #
-# Slabs and Gs carry zero columns past L up to a multiple of 32, which dW's
-# inner extent then is: OpenBLAS 0.3.31's threaded sgemm (Haswell kernels)
-# sums an inner extent above 448 that is not a multiple of 32 in another
-# order than one thread does, which would tie checkpoint bytes to the BLAS
-# thread count.
+# Slabs, Gs and the window matrices of the other convs (and their G) carry
+# zero columns past L up to a multiple of 32, which dW's inner extent then
+# is: OpenBLAS 0.3.31's threaded sgemm (Haswell kernels) sums an inner
+# extent above 448 that is not a multiple of 32 in another order than one
+# thread does, which would tie checkpoint bytes to the BLAS thread count.
 
 def _slab(n: int, c: int, hp: int, wp: int, dtype
           ) -> tuple[np.ndarray, np.ndarray]:
@@ -406,9 +384,11 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     shifted copies of G, and dx the transpose view of the stacked weight
     times those copies. The graph keeps the padded x and the stacked weight.
 
-    Other convs keep the window matrix ``cols`` of the padded x: out =
-    W·cols, dW = Σₙ Gₙ·colsₙᵀ, and dx scatter-adds Wᵀ·G over the kh·kw
-    strided window offsets. Backward runs in the forward dtype.
+    Other convs build the window matrix ``cols`` of the padded x, with
+    zero columns up to a multiple of 32, and keep it when w is tracked:
+    out = W·cols, dW = Σₙ Gₙ·colsₙᵀ with G padded alike, and dx
+    scatter-adds Wᵀ·G over the kh·kw strided window offsets. Backward runs
+    in the forward dtype.
     """
     if x.data.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-D, got shape {x.shape}")
@@ -449,8 +429,8 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         wc = w.data.astype(compute_dtype, copy=False)
         saved = _im2col(_pad2d(np.ascontiguousarray(x.data, compute_dtype),
                                padding, padding), kh, kw, stride, ho, wo)
-        out_data = np.matmul(wc.reshape(cout, -1)[None], saved).reshape(
-            n, cout, ho, wo)
+        out_data = np.matmul(wc.reshape(cout, -1)[None],
+                             saved[:, :, :ho * wo]).reshape(n, cout, ho, wo)
     if b is not None:
         out_data += b.data[None, :, None, None]
 
@@ -458,7 +438,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     # read now: a parameter held constant at build time gets no gradient
     need_x, need_w = x.requires_grad, w.requires_grad
     need_b = b is not None and b.requires_grad
-    if not (_GRAD_ENABLED and need_w):
+    if not need_w:
         saved = None  # only dW reads it
 
     def backward(g):
@@ -473,7 +453,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         else:
             gmat = g.reshape(n, cout, ho * wo)
             if need_w:
-                dw = (np.matmul(gmat, saved.transpose(0, 2, 1)).sum(axis=0)
+                gpad, head = _slab(n, cout, ho, wo, g.dtype)
+                head[...] = g
+                dw = (np.matmul(gpad, saved.transpose(0, 2, 1)).sum(axis=0)
                       .reshape(w.shape))
             if need_x:
                 dcols = np.matmul(wc.reshape(cout, -1).T[None], gmat).reshape(
@@ -694,18 +676,18 @@ def grad_compare(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3
     analytic = x.grad.astype(np.float64).copy()
 
     numeric = np.zeros_like(analytic)
-    with precise_mode():
-        probe = Tensor(x.data)  # float64 copy of the float32 values
-        flat = probe.data.reshape(-1)
-        nflat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = f(probe).item()
-            flat[i] = orig - eps
-            fm = f(probe).item()
-            flat[i] = orig
-            nflat[i] = (fp - fm) / (2.0 * eps)
+    # a float64 copy of x: every op f runs on it promotes to float64
+    probe = _make(x.data.astype(np.float64), (), None, "")
+    flat = probe.data.reshape(-1)
+    nflat = numeric.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        fp = f(probe).item()
+        flat[i] = orig - eps
+        fm = f(probe).item()
+        flat[i] = orig
+        nflat[i] = (fp - fm) / (2.0 * eps)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return analytic, numeric, float(np.max(np.abs(analytic - numeric) / denom))

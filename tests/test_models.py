@@ -197,12 +197,13 @@ class TestDenseBlockOp:
 
         assert T.grad_check(with_w2, w2, eps=1e-4) < 1e-3
 
-    def test_precise_mode_computes_in_float64(self):
+    def test_float64_input_computes_in_float64(self):
         _, block = self._desk_block()
-        x = np.random.default_rng(34).standard_normal((2, 32, 5, 6))
-        with T.precise_mode():
-            got = block(Tensor(x)).data
-            want = composed_dense_block(block, Tensor(x)).data
+        a = np.random.default_rng(34).standard_normal((2, 32, 5, 6))
+        x = Tensor(a)
+        x.data = a.astype(np.float64)
+        got = block(x).data
+        want = composed_dense_block(block, x).data
         assert got.dtype == want.dtype == np.float64
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
@@ -232,14 +233,13 @@ class TestDenseBlockOp:
             assert np.array_equal(c.weight.grad, want_w)
             assert np.array_equal(c.bias.grad, want_b)
 
-    def test_no_grad_keeps_nothing(self):
-        _, block = self._desk_block()
-        x = Tensor(np.random.default_rng(36).standard_normal((4, 32, 32, 32)),
-                   requires_grad=True)
+    def test_untracked_keeps_nothing(self):
+        gen, block = self._desk_block()
+        x = Tensor(np.random.default_rng(36).standard_normal((4, 32, 32, 32)))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            with T.no_grad():
+            with gen.untracked():
                 y = block(x)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:

@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dasr import checkpoint, cli, pipeline, synth, tensor as T
+from dasr import checkpoint, cli, pipeline, synth
 from dasr.checkpoint import (Checkpoint, CheckpointError, checkpoint_bytes,
                              load_checkpoint, save_checkpoint)
 from dasr.imaging import (DegradationSpec, Image, load_image, save_image,
@@ -596,6 +596,7 @@ class _CountingGenerator:
 
     def __init__(self, gen):
         self.gen, self.config, self.shapes = gen, gen.config, []
+        self.untracked = gen.untracked
 
     def __call__(self, x):
         self.shapes.append(x.shape)
@@ -681,7 +682,7 @@ class TestTilePlan:
                                                       h, w):
         gen, _ = generator_from_checkpoint(stage1_ckpt)
         lr = Image(np.random.default_rng(6).random((h, w, 1)))
-        with T.no_grad():
+        with gen.untracked():
             direct = gen(Tensor(lr.array[None, None, :, :, 0]
                                 .astype(np.float32))).data[0, 0]
         sr = super_resolve(gen, lr)
@@ -695,6 +696,15 @@ class TestTilePlan:
         with pytest.raises(ValueError,
                            match=f"tile={tile}, overlap={overlap}"):
             super_resolve(gen, lr, tile=tile, overlap=overlap)
+
+    def test_generator_parameters_keep_their_flags(self):
+        gen = build_generator(small_config())
+        lr = Image(np.random.default_rng(7).random((10, 10, 1)))
+        super_resolve(gen, lr)
+        assert all(p.requires_grad for p in gen.parameters())
+        with gen.untracked():
+            super_resolve(gen, lr)
+            assert not any(p.requires_grad for p in gen.parameters())
 
 
 class TestReaderFuzz:

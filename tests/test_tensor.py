@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from dasr import tensor as T
-from dasr.models import GENERATOR_PRESETS, Generator, GeneratorConfig
+from dasr.losses import sobel_l1
+from dasr.models import GENERATOR_PRESETS, Generator, GeneratorConfig, Model
 from dasr.tensor import Tensor
 
 DESK_CONFIG = GeneratorConfig(scale=2, **GENERATOR_PRESETS["desk"])
@@ -148,7 +149,11 @@ class TestConv2d:
             view = np.lib.stride_tricks.sliding_window_view(
                 x, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
             want = view.transpose(0, 1, 4, 5, 2, 3).reshape(2, 27, ho * wo)
-            assert np.array_equal(T._im2col(x, 3, 3, stride, ho, wo), want)
+            got = T._im2col(x, 3, 3, stride, ho, wo)
+            # zero columns up to a multiple of 32, as a slab pads
+            assert got.shape == (2, 27, 32)
+            assert not got[:, :, ho * wo:].any()
+            assert got[:, :, :ho * wo].tobytes() == want.tobytes()
 
     def test_unpadded_window_matrix_of_a_strided_input(self):
         # padding 0 hands x itself to the window view, which needs it
@@ -224,9 +229,10 @@ class TestShiftedRunForward:
             T.backward(T.sum_all(T.mul(out, Tensor(probe))))
             assert np.abs(w.grad - dw).max() < 1e-4
             assert np.abs(x.grad - dx).max() < 1e-4
-            with T.precise_mode():
-                x64, w64 = Tensor(x.data), Tensor(w.data)
-                out64 = T.conv2d(x64, w64, Tensor(b.data), padding=pad)
+            # one float64 input makes the whole conv float64
+            x64 = Tensor(x.data)
+            x64.data = x.data.astype(np.float64)
+            out64 = T.conv2d(x64, w, b, padding=pad)
             assert out64.data.dtype == np.float64
             assert np.abs(out64.data - want).max() < 1e-12
 
@@ -240,9 +246,8 @@ class TestShiftedRunForward:
         cols_bytes = 96 * 9 * 80 * 80 * 4
         tracemalloc.start()
         try:
-            with T.no_grad():
-                T.conv2d(x, w, padding=1)
-            no_grad_peak = tracemalloc.get_traced_memory()[1]
+            T.conv2d(x, Tensor(w.data), padding=1)
+            constant_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             out = T.conv2d(x, w, padding=1)
@@ -255,7 +260,7 @@ class TestShiftedRunForward:
         finally:
             tracemalloc.stop()
         assert dw.shape == w.shape
-        assert no_grad_peak < cols_bytes
+        assert constant_peak < cols_bytes
         assert retained < 3 * x.data.nbytes
         # nor does the filter gradient rebuild it
         assert dw_peak < cols_bytes
@@ -461,7 +466,8 @@ class TestGradCheck:
             def bad_backward(g):
                 return (2.0 * np.broadcast_to(g, x.shape).astype(np.float32),)
 
-            return T._make(T._ACTIVE_DTYPE(acc), (x,), bad_backward, "bad")
+            return T._make(np.array(acc, x.data.dtype), (x,), bad_backward,
+                           "bad")
 
         x = Tensor(np.arange(1, 5, dtype=np.float32), requires_grad=True)
         err = T.grad_check(doubled_sum, x)
@@ -510,12 +516,22 @@ class TestDeterminism:
             assert T.grad_check(f, x) < 1e-3
 
 
-def builds_graph() -> bool:
-    p = T.Parameter(np.ones(3, dtype=np.float32), "p")
+def tiny_model() -> Model:
+    m = Model()
+    m._add("p", np.ones(3, dtype=np.float32))
+    m._add("q", np.ones(3, dtype=np.float32))
+    return m
+
+
+def builds_graph(m: Model) -> bool:
+    p = m.parameters()[0]
     return T.add(p, p)._backward is not None
 
 
 class TestNoGrad:
+    """Forwards that record no graph: every input a constant, parameters
+    held by ``Model.untracked()``."""
+
     def test_generator_forward_bitwise_equal_and_graphless(self):
         gen = Generator(DESK_CONFIG, seed=3)
         # a zero conv_last would pass the bicubic skip through whatever
@@ -528,7 +544,7 @@ class TestNoGrad:
         ref = gen(x)
         assert not np.array_equal(ref.data, gen._bicubic_skip(x).data)
         ref_mean = T.mean(ref)
-        with T.no_grad():
+        with gen.untracked():
             out = gen(x)
             out_mean = T.mean(out)
         assert ref._backward is not None
@@ -540,29 +556,48 @@ class TestNoGrad:
             assert t._prev == ()
             assert not t.requires_grad
 
-    def test_conv2d_with_tracked_weight_builds_no_node(self):
-        rng = np.random.default_rng(4)
-        x = Tensor(rng.random((1, 2, 6, 6)))
-        w = T.Parameter(rng.random((3, 2, 3, 3)), "w")
-        with T.no_grad():
-            out = T.conv2d(x, w, stride=2, padding=1)
-        assert out._backward is None
-        assert np.array_equal(out.data, T.conv2d(x, w, stride=2,
-                                                 padding=1).data)
-
     def test_nested_blocks_restore_the_outer_state(self):
-        assert builds_graph()
-        with T.no_grad():
-            with T.no_grad():
-                assert not builds_graph()
-            assert not builds_graph()
-        assert builds_graph()
+        m = tiny_model()
+        m.parameters()[1].requires_grad = False
+        assert builds_graph(m)
+        with m.untracked():
+            with m.untracked():
+                assert not builds_graph(m)
+            assert not builds_graph(m)
+        assert builds_graph(m)
+        # a flag that was off on entry stays off
+        assert [p.requires_grad for p in m.parameters()] == [True, False]
 
     def test_flag_restored_after_exception(self):
+        m = tiny_model()
         with pytest.raises(RuntimeError, match="boom"):
-            with T.no_grad():
+            with m.untracked():
                 raise RuntimeError("boom")
-        assert builds_graph()
+        assert builds_graph(m)
+
+
+class TestDtypeRule:
+    """An op's output keeps the dtype its inputs promote to; only
+    ``Tensor(data)`` casts, to float32."""
+
+    def test_reductions_emit_the_promoted_dtype(self):
+        rng = np.random.default_rng(15)
+        a, b = (Tensor(rng.random((1, 1, 5, 5))) for _ in range(2))
+        a64 = Tensor(a.data)
+        a64.data = a.data.astype(np.float64)
+        for f in (T.sum_all, T.mean):
+            assert f(a).data.dtype == np.float32
+            assert f(a64).data.dtype == np.float64
+        for f in (T.reduce_mean_abs_diff, sobel_l1):
+            assert f(a, b).data.dtype == np.float32
+            assert f(a64, b).data.dtype == f(b, a64).data.dtype == np.float64
+
+    def test_constructor_casts_and_detach_does_not(self):
+        t = Tensor(np.arange(3.0))
+        assert t.data.dtype == np.float32
+        t.data = t.data.astype(np.float64)
+        d = t.detach()
+        assert d.data is t.data and not d.requires_grad
 
 
 class TestGraphLifetime:
