@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -76,10 +76,8 @@ def cmd_degrade(args) -> int:
     spec = DegradationSpec(**_flag_values(args, DegradationSpec))
     os.makedirs(args.out, exist_ok=True)
     for i, name in enumerate(_image_files(args.inp)):
-        img = load_image(os.path.join(args.inp, name))
-        h = (img.height // spec.scale) * spec.scale
-        w = (img.width // spec.scale) * spec.scale
-        img = degrade(Image(img.array[:h, :w]), spec, spec.seed + i)
+        img = degrade(load_image(os.path.join(args.inp, name)), spec,
+                      spec.seed + i)
         save_image(img, os.path.join(args.out, name))
         log.info("degraded %s -> %dx%d", name, img.width, img.height)
     return 0
@@ -87,7 +85,7 @@ def cmd_degrade(args) -> int:
 
 def _merged_config(args) -> TrainConfig:
     """Built-in defaults, then --config file values, then explicit flags."""
-    doc = _DEFAULTS.to_dict()
+    doc = asdict(_DEFAULTS)
     if args.config:
         try:  # JSON and UTF-8 errors get the path, as a manifest's do
             with open(args.config, encoding="utf-8") as fh:
@@ -104,7 +102,7 @@ def _merged_config(args) -> TrainConfig:
 def cmd_train(args) -> int:
     config = _merged_config(args)
     log.info("effective config: %s",
-             json.dumps(config.to_dict(), sort_keys=True))
+             json.dumps(asdict(config), sort_keys=True))
     manifest = _load_manifest(args.data)
     log_path = args.log or None
     if args.stage == 1:
@@ -133,7 +131,7 @@ def cmd_eval(args) -> int:
     if args.self_check:
         pairs = []
         for i in range(len(manifest.entries)):
-            hr = to_luma(manifest.load_ir(i))
+            hr = manifest.load_ir(i)
             pairs.append((hr, hr))
         rows.append(evaluate_set(pairs, "self-check", manifest.scale))
     else:

@@ -276,9 +276,23 @@ def random_paired_crop(lr: Image, hr: Image, lr_size: int, scale: int,
     return lr_crop, hr_crop
 
 
+def crop_to_scale(img: Image, scale: int) -> Image:
+    """``img`` cropped down to extents divisible by ``scale``; an extent
+    below ``scale`` is refused."""
+    h = (img.height // scale) * scale
+    w = (img.width // scale) * scale
+    if h == 0 or w == 0:
+        raise ValueError(
+            f"image {img.height}x{img.width} too small for scale {scale}")
+    if h == img.height and w == img.width:
+        return img
+    return Image(img.array[:h, :w])
+
+
 def degrade(hr: Image, spec: DegradationSpec, sample_seed: int) -> Image:
-    """HR -> LR along the configured path: blur, bicubic /scale, noise."""
-    img = hr
+    """HR -> LR along the configured path: crop to a multiple of the scale,
+    blur, bicubic /scale, noise."""
+    img = hr = crop_to_scale(hr, spec.scale)
     if spec.blur_sigma > 0:
         img = gaussian_blur(img, spec.blur_sigma)
     img = bicubic_resize(img, hr.height // spec.scale, hr.width // spec.scale)

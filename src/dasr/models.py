@@ -126,13 +126,13 @@ def _kaiming(rng: np.random.Generator, shape: tuple, fan_in: int,
 
 class Conv2dLayer:
     def __init__(self, model: Model, name: str, cin: int, cout: int,
-                 rng: np.random.Generator, k: int = 3, stride: int = 1,
+                 rng: np.random.Generator, stride: int = 1,
                  padding: int = 1, zero_init: bool = False):
-        shape = (cout, cin, k, k)
+        shape = (cout, cin, 3, 3)
         if zero_init:
             wdata = np.zeros(shape, dtype=np.float32)
         else:
-            wdata = _kaiming(rng, shape, cin * k * k)
+            wdata = _kaiming(rng, shape, cin * 9)
         self.weight = model._add(f"{name}.weight", wdata)
         self.bias = model._add(f"{name}.bias", np.zeros(cout, dtype=np.float32))
         self.stride = stride
@@ -288,18 +288,19 @@ class _Discriminator(Model):
             hw = (hw + 2 - 3) // 2 + 1
         self._flat = cin * hw * hw
 
-    def _trunk(self, img: Tensor, size_ok: bool = True) -> Tensor:
-        """Trunk features flattened to [N, flat]; rejects an input whose
-        size differs from the build size (or when ``size_ok`` is false)."""
+    def _check_size(self, img: Tensor) -> None:
+        """Rejects an input whose size differs from the build size."""
+        if img.shape[2:] != (self.in_hw, self.in_hw):
+            raise ValueError(
+                f"discriminator built for {self.in_hw}x{self.in_hw} inputs, "
+                f"got {'x'.join(map(str, img.shape[2:]))}")
+
+    def _trunk(self, img: Tensor) -> Tensor:
+        """Trunk features flattened to [N, flat]."""
         t = img
         for conv in self.stack:
             t = T.leaky_relu(conv(t), LRELU_SLOPE)
-        n = t.shape[0]
-        if not size_ok or t.size // n != self._flat:
-            raise ValueError(
-                f"discriminator built for {self.in_hw}x{self.in_hw} inputs, "
-                f"got {img.shape[2]}x{img.shape[3]}")
-        return T.reshape(t, (n, self._flat))
+        return T.reshape(t, (t.shape[0], self._flat))
 
 
 class DiscSpre(_Discriminator):
@@ -311,6 +312,7 @@ class DiscSpre(_Discriminator):
         self.head = LinearLayer(self, "head", self._flat, 1, rng)
 
     def __call__(self, img: Tensor) -> Tensor:
+        self._check_size(img)
         return self.head(self._trunk(img))
 
 
@@ -325,8 +327,6 @@ class DiscTrans(_Discriminator):
     """
 
     def __init__(self, in_hw: int, seed: int, prior_blocks: int = 2):
-        if prior_blocks < 1:
-            raise ValueError(f"prior_blocks must be >= 1, got {prior_blocks}")
         rng = generator(seed, "disc-trans-init")
         super().__init__(in_hw, rng)
 
@@ -354,9 +354,10 @@ class DiscTrans(_Discriminator):
 
     def __call__(self, img: Tensor) -> tuple[Tensor, Tensor]:
         """Returns (logit [N,1], prior latent v_p)."""
+        self._check_size(img)
         v_p = self.prior_branch(img)
         n = img.shape[0]
-        v_g = self._trunk(img, v_p.size // n == self._prior_flat)
+        v_g = self._trunk(img)
         fused = T.concat([T.reshape(v_p, (n, self._prior_flat)), v_g], axis=1)
         return self.head(fused), v_p
 

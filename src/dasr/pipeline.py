@@ -65,7 +65,7 @@ class TrainConfig(Spec):
     seed: int = opt(0, "run seed")
     preset: str = opt("desk", "generator preset",
                       choices=tuple(GENERATOR_PRESETS))
-    prior_blocks: int = opt(2, "texture-prior branch blocks")
+    prior_blocks: int = opt(2, "texture-prior branch blocks", ge=1)
     grad_clip: float = opt(1.0, "global grad-norm clip, 0 disables")
     ir_replay: bool = opt(True, "stage-2 IR replay batches")
     init_trans_from_spre: bool = opt(
@@ -77,9 +77,6 @@ class TrainConfig(Spec):
 
     def hr_crop(self) -> int:
         return self.scale * self.lr_crop
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def build_generator(config: TrainConfig) -> Generator:
@@ -154,13 +151,12 @@ def _batch(samples: list[_Sample], rng: np.random.Generator,
     return _to_nchw(lr_list), _to_nchw(hr_list)
 
 
-def _checkpoint(stage: str, config: TrainConfig, gen: Generator,
-                disc=None, disc_prefix: str = "") -> Checkpoint:
+def _checkpoint(stage: str, config: TrainConfig, gen: Generator, disc,
+                disc_prefix: str) -> Checkpoint:
     tensors = {f"gen.{k}": v.copy() for k, v in gen.named_tensors()}
-    if disc is not None:
-        tensors.update({f"{disc_prefix}.{k}": v.copy()
-                        for k, v in disc.named_tensors()})
-    return Checkpoint(stage=stage, config=config.to_dict(), tensors=tensors)
+    tensors.update({f"{disc_prefix}.{k}": v.copy()
+                    for k, v in disc.named_tensors()})
+    return Checkpoint(stage=stage, config=asdict(config), tensors=tensors)
 
 
 def _load_model_tensors(model, ckpt: Checkpoint, prefix: str) -> None:
@@ -466,7 +462,7 @@ def evaluate_checkpoint(ckpt: Checkpoint, manifest: DatasetManifest,
         os.makedirs(out_dir, exist_ok=True)
     model_pairs, bicubic_pairs = [], []
     for i, entry in enumerate(manifest.entries):
-        hr = to_luma(manifest.load_ir(i))
+        hr = manifest.load_ir(i)
         lr = manifest.lr_for(hr, i, "ir-noise")
         sr = super_resolve(gen, lr)
         base = bicubic_resize(lr, hr.height, hr.width)

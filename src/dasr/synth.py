@@ -17,8 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .imaging import (DegradationSpec, Image, degrade, gaussian_blur,
-                      load_image, save_image, sobel_map)
+from .imaging import (DegradationSpec, Image, crop_to_scale, degrade,
+                      gaussian_blur, load_image, save_image, sobel_map,
+                      to_luma)
 from .rng import derive_seed, generator
 from .spec import Spec, json_object, opt
 
@@ -102,9 +103,9 @@ class DatasetManifest:
         )
 
     def load_ir(self, idx: int) -> Image:
-        """The HR IR image of entry ``idx``, cropped down to extents
-        divisible by the scale."""
-        return self._load(self.entries[idx].ir)
+        """The HR IR image of entry ``idx`` as luma, cropped down to
+        extents divisible by the scale."""
+        return to_luma(self._load(self.entries[idx].ir))
 
     def load_vis(self, idx: int) -> Optional[Image]:
         """The aligned HR visible image of entry ``idx``, cropped as the IR
@@ -113,16 +114,8 @@ class DatasetManifest:
         return None if vis is None else self._load(vis)
 
     def _load(self, rel: str) -> Image:
-        img = load_image(os.path.join(self.base_dir, rel))
-        h = (img.height // self.scale) * self.scale
-        w = (img.width // self.scale) * self.scale
-        if h < self.scale or w < self.scale:
-            raise ValueError(
-                f"image {img.height}x{img.width} too small for scale "
-                f"{self.scale}")
-        if h == img.height and w == img.width:
-            return img
-        return Image(img.array[:h, :w])
+        return crop_to_scale(load_image(os.path.join(self.base_dir, rel)),
+                             self.scale)
 
     def lr_for(self, hr: Image, idx: int, stream: str) -> Image:
         """Degraded LR for one entry; noise seeded per (entry, stream)."""

@@ -269,25 +269,16 @@ def reduce_mean_abs_diff(a: Tensor, b: Tensor) -> Tensor:
 # convolution / linear / pixel shuffle
 # ---------------------------------------------------------------------------
 
-def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    if ph == pw == 0:
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    out[:, :, ph:ph + h, pw:pw + w] = x
-    return out
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int,
+def _im2col(slab: np.ndarray, wp: int, kh: int, kw: int, stride: int,
             ho: int, wo: int) -> np.ndarray:
-    """Padded contiguous [N,C,H,W] -> the window matrix [N, C*kh*kw, L']: a
-    strided [N, C, kh, kw, Ho, Wo] window view of ``x`` copied into the
-    first Ho*Wo columns of a ``_slab``."""
-    n, c = x.shape[0], x.shape[1]
-    sn, sc, sh, sw = x.strides
-    windows = np.ndarray((n, c, kh, kw, ho, wo), x.dtype, x, 0,
-                         (sn, sc, sh, sw, sh * stride, sw * stride))
-    cols, head = _slab(n, c * kh * kw, ho, wo, x.dtype)
+    """A padded input's ``_slab`` [N, C, L'] with rows Wp wide -> the window
+    matrix [N, C*kh*kw, L']: a strided [N, C, kh, kw, Ho, Wo] window view of
+    the slab copied into the first Ho*Wo columns of another ``_slab``."""
+    n, c = slab.shape[0], slab.shape[1]
+    sn, sc, s = slab.strides[0], slab.strides[1], slab.itemsize
+    windows = np.ndarray((n, c, kh, kw, ho, wo), slab.dtype, slab, 0,
+                         (sn, sc, wp * s, s, wp * s * stride, s * stride))
+    cols, head = _slab(n, c * kh * kw, ho, wo, slab.dtype)
     head.reshape(n, c, kh, kw, ho, wo)[...] = windows
     return cols
 
@@ -419,16 +410,15 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     narrowing = stride == 1 and cout <= cin and padding < min(kh, kw)
+    flat, xp = _slab(n, cin, hp, wp, compute_dtype)
+    xp[:, :, padding:padding + h, padding:padding + wd] = x.data
     if narrowing:
-        saved, xp = _slab(n, cin, hp, wp, compute_dtype)
-        length = saved.shape[2]
-        xp[:, :, padding:padding + h, padding:padding + wd] = x.data
+        saved, length = flat, flat.shape[2]
         wc = _stack_weight(w.data, compute_dtype)
         out_data = _run_forward(saved, wc, kh, kw, wp, ho, wo)
     else:
         wc = w.data.astype(compute_dtype, copy=False)
-        saved = _im2col(_pad2d(np.ascontiguousarray(x.data, compute_dtype),
-                               padding, padding), kh, kw, stride, ho, wo)
+        saved = _im2col(flat, wp, kh, kw, stride, ho, wo)
         out_data = np.matmul(wc.reshape(cout, -1)[None],
                              saved[:, :, :ho * wo]).reshape(n, cout, ho, wo)
     if b is not None:
@@ -561,14 +551,10 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise ValueError(f"linear: input width {d} != weight width {d_w}")
     if b is not None and b.shape != (m,):
         raise ValueError(f"linear: bias shape {b.shape} != ({m},)")
-    # the bias too, so that a float64 bias is not rounded into a float32 output
-    compute_dtype = np.result_type(x.data.dtype, w.data.dtype,
-                                   (w if b is None else b).data.dtype)
-    xd = x.data if x.data.dtype == compute_dtype else x.data.astype(compute_dtype)
-    wt = w.data.T if w.data.dtype == compute_dtype else w.data.T.astype(compute_dtype)
-    out_data = xd @ wt
+    out_data = x.data @ w.data.T
     if b is not None:
-        out_data += b.data[None, :]
+        # not in place, so a float64 bias is not rounded into a float32 output
+        out_data = out_data + b.data[None, :]
     parents = (x, w) if b is None else (x, w, b)
     need_x, need_w = x.requires_grad, w.requires_grad
     need_b = b is not None and b.requires_grad

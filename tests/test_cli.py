@@ -4,7 +4,7 @@ import argparse
 import hashlib
 import json
 import os
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -160,10 +160,10 @@ class TestTrainFlags:
     def test_flag_sets_its_field(self, name):
         assert name in FLAG_VALUES, f"no test value for field {name}"
         text, want = FLAG_VALUES[name]
-        default = TrainConfig().to_dict()
+        default = asdict(TrainConfig())
         assert want != default[name]
         flag = FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
-        got = merged(TRAIN_ARGS + [flag, text]).to_dict()
+        got = asdict(merged(TRAIN_ARGS + [flag, text]))
         assert got[name] == want
         del got[name], default[name]
         assert got == default
@@ -232,11 +232,20 @@ class TestDegrade:
         spec = DegradationSpec(scale=2, blur_sigma=1.2, noise_sigma=0.05,
                                seed=4)
         for i, name in enumerate(names):
-            hr = Image(load_image(str(src / name)).array[:48, :50])
-            want = degrade(hr, spec, spec.seed + i)
+            # degrade itself crops to 48x50, a multiple of the scale
+            want = degrade(load_image(str(src / name)), spec, spec.seed + i)
             got = load_image(os.path.join(out, name))
             assert (got.height, got.width) == (24, 25)
             assert np.array_equal(quantize8(got), quantize8(want))
+
+    def test_image_smaller_than_scale_refused(self, tmp_path, capsys):
+        src = tmp_path / "in"
+        src.mkdir()
+        save_image(Image(np.full((1, 1, 1), 0.5)), str(src / "dot.png"))
+        assert run(["degrade", "--in", str(src), "--out",
+                    str(tmp_path / "lr"), "--scale", "2"]) == 1
+        assert capsys.readouterr().err == \
+            "error: image 1x1 too small for scale 2\n"
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--noise-sigma", "nan", "noise_sigma"),
@@ -389,6 +398,7 @@ class TestTrain:
         ("--batch", "100000000000", "batch"),
         ("--lr-crop", "100000", "lr_crop"),
         ("--lr", "inf", "lr"),
+        ("--prior-blocks", "0", "prior_blocks"),
     ])
     def test_value_out_of_range_refused_before_the_run(
             self, dataset_dir, tmp_path, capsys, flag, value, field):

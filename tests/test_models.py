@@ -289,16 +289,22 @@ class TestDiscSpre:
         assert out.shape == (3, 1)
 
     def test_resolution_mismatch_names_build_size(self):
+        # 23x25 and 22x26 reach the trunk output size of a 32x32 input
         d = DiscSpre(in_hw=32, seed=9)
-        with pytest.raises(ValueError, match="32x32"):
-            d(Tensor(np.zeros((1, 1, 48, 48))))
+        for hw in ((48, 48), (23, 25), (22, 26)):
+            with pytest.raises(ValueError, match=r"32x32 inputs, got "
+                                                 rf"{hw[0]}x{hw[1]}"):
+                d(Tensor(np.zeros((1, 1, *hw))))
 
 
 class TestDiscTrans:
     def test_resolution_mismatch_names_build_size(self):
-        d = DiscTrans(in_hw=32, seed=16)
-        with pytest.raises(ValueError, match="32x32"):
-            d(Tensor(np.zeros((1, 1, 48, 48))))
+        # 23x25 reaches both branch output sizes of a 24x24 input
+        d = DiscTrans(in_hw=24, seed=16)
+        for hw in ((48, 48), (23, 25), (22, 26)):
+            with pytest.raises(ValueError, match=r"24x24 inputs, got "
+                                                 rf"{hw[0]}x{hw[1]}"):
+                d(Tensor(np.zeros((1, 1, *hw))))
 
     def test_constant_input_gives_zero_prior_latent(self):
         d = DiscTrans(in_hw=32, seed=10)

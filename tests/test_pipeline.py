@@ -124,6 +124,24 @@ class TestManifest:
         hr = man.load_ir(0)
         assert (hr.height, hr.width) == (64, 64)
 
+    def test_three_channel_grey_ir_is_read_as_luma(self, tmp_path):
+        made = make_synthetic_dataset(
+            SyntheticSceneSpec(count=2, extent=32, seed=5), str(tmp_path))
+        greys = []
+        for entry in made.entries:
+            path = os.path.join(made.base_dir, entry.ir)
+            greys.append(load_image(path).array)
+            save_image(Image(np.repeat(greys[-1], 3, axis=2)), path)
+            assert load_image(path).channels == 3
+        for i, grey in enumerate(greys):
+            ir = made.load_ir(i)
+            assert ir.channels == 1
+            # luma of grey RGB is the grey value up to float64 rounding
+            assert np.abs(ir.array - grey).max() < 1e-12
+        ckpt = train_stage1(made, small_config(steps_stage1=1, batch=1,
+                                               lr_crop=6))
+        assert ckpt.stage == "stage1"
+
     def test_scale_is_the_degradation_scale(self, tmp_path):
         made = make_synthetic_dataset(
             SyntheticSceneSpec(count=2, extent=32, seed=4), str(tmp_path),
@@ -869,6 +887,7 @@ class TestManifestRoundTrip:
         ({"lr_crop": 100000}, r"lr_crop must be in \[1, 1024\], got 100000"),
         ({"steps_stage1": -1}, r"steps_stage1 must be >= 0, got -1"),
         ({"steps_stage2": -1}, r"steps_stage2 must be >= 0, got -1"),
+        ({"prior_blocks": 0}, r"prior_blocks must be >= 1, got 0"),
     ], ids=["lr-zero", "lr-negative", "beta1-one", "beta1-negative",
             "beta2-one", "eps-zero", "noise-sigma-negative",
             "alpha-negative", "beta-negative", "lr-inf", "eps-nan",
@@ -876,7 +895,7 @@ class TestManifestRoundTrip:
             "feature-weight-negative",
             "batch-zero", "batch-above-max", "lr-crop-zero",
             "lr-crop-above-max", "steps-stage1-negative",
-            "steps-stage2-negative"])
+            "steps-stage2-negative", "prior-blocks-zero"])
     def test_config_value_ranges_checked(self, doc, msg):
         with pytest.raises(ValueError, match=msg):
             TrainConfig.from_dict(doc)

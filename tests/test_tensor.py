@@ -144,20 +144,22 @@ class TestConv2d:
     def test_window_matrix_is_the_strided_window_copy(self):
         rng = np.random.default_rng(8)
         x = rng.random((2, 3, 7, 6)).astype(np.float32)
+        flat, head = T._slab(2, 3, 7, 6, np.float32)
+        head[...] = x
         for stride in (1, 2):
             ho, wo = (7 - 3) // stride + 1, (6 - 3) // stride + 1
             view = np.lib.stride_tricks.sliding_window_view(
                 x, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
             want = view.transpose(0, 1, 4, 5, 2, 3).reshape(2, 27, ho * wo)
-            got = T._im2col(x, 3, 3, stride, ho, wo)
+            got = T._im2col(flat, 6, 3, 3, stride, ho, wo)
             # zero columns up to a multiple of 32, as a slab pads
             assert got.shape == (2, 27, 32)
             assert not got[:, :, ho * wo:].any()
             assert got[:, :, :ho * wo].tobytes() == want.tobytes()
 
     def test_unpadded_window_matrix_of_a_strided_input(self):
-        # padding 0 hands x itself to the window view, which needs it
-        # contiguous; a reversed view must give the contiguous copy's output
+        # every conv copies x into its padded slab, padding 0 too; a
+        # reversed view must give the contiguous copy's output
         rng = np.random.default_rng(9)
         base = rng.random((1, 2, 7, 7)).astype(np.float32)
         w = Tensor(rng.random((5, 2, 3, 3)) * 2 - 1)
@@ -209,8 +211,9 @@ class TestShiftedRunForward:
         rng = np.random.default_rng(21)
         im2col = T._im2col
         fwd_windows = []
+        # (batch, channels, row width) of each padded slab windowed
         monkeypatch.setattr(T, "_im2col", lambda *a: (
-            fwd_windows.append(a[0].shape), im2col(*a))[1])
+            fwd_windows.append((*a[0].shape[:2], a[1])), im2col(*a))[1])
         cases = list(self.grid())
         assert sum(pad < min(k) for k, _, pad in cases) >= 12
         for (kh, kw), hw, pad in cases:
@@ -220,7 +223,7 @@ class TestShiftedRunForward:
             fwd_windows.clear()
             out = T.conv2d(x, w, b, padding=pad)
             assert fwd_windows == ([] if pad < min(kh, kw) else
-                                   [(2, 4, hw[0] + 2 * pad, hw[1] + 2 * pad)])
+                                   [(2, 4, hw[1] + 2 * pad)])
             probe = rng.random(out.shape) + 0.5
             want, dw, dx = windows_ref(x.data, w.data, probe, pad)
             want += b.data[None, :, None, None]
